@@ -100,9 +100,9 @@ telemetry-smoke:
 
 # Heterogeneity smoke: the placement subsystem's acceptance contract (co-opt
 # strictly beats the uniform baseline in predicted AND measured throughput on
-# the pinned scenario), worker-count independence and bnb-vs-grid equivalence
-# over the placement axis under the race detector, and one CLI run through
-# -device-speeds/-placement.
+# the pinned scenario), worker-count independence and equivalence with the
+# exhaustive oracle over the placement axis under the race detector, and one
+# CLI run through -device-speeds/-placement.
 hetero-smoke:
 	$(GO) test -race -run 'TestHeteroCoOptBeatsUniform|TestHeteroAutoExploresBothModes' .
 	$(GO) test -race -run 'TestHeteroDeterministicAcrossWorkers|TestHeteroBnBMatchesGridArgmax|TestAllOnesSpeedsAreLegacy' ./internal/tuner

@@ -532,8 +532,8 @@ func BenchmarkTuning1024GPU(b *testing.B) {
 // iteration uses a fresh Tuner so the memoization cache cannot carry results
 // between iterations; the profiler is shared since its output is immutable.
 // The results are byte-identical across sub-benchmarks — only the wall time
-// differs. The pruned variant runs the same grid with the upper-bound prune
-// enabled, showing how many simulations it avoids ("explored" vs "bound-pruned").
+// differs. The pruned variant runs the same grid with the bound prunes
+// enabled, showing how many simulations they avoid ("explored" vs "bound-pruned").
 func BenchmarkTunerSearch(b *testing.B) {
 	prof := &profile.Profiler{
 		Model: cost.GPT3_13B, HW: cost.A100_40G,
@@ -580,11 +580,10 @@ func BenchmarkTunerSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkTunerSearchBnB contrasts the branch-and-bound search against the
-// canonical pruned grid walk on the same 220-configuration GPT3-13B space as
-// BenchmarkTunerSearch. Both return the identical argmax (pinned by
-// TestBnBExplorationEfficiency); the reported metrics show how much of the
-// grid each strategy actually simulates.
+// BenchmarkTunerSearchBnB times the branch-and-bound search on the same
+// 220-configuration GPT3-13B space as BenchmarkTunerSearch; it returns the
+// exhaustive walk's argmax (pinned by TestBnBExplorationEfficiency), and the
+// reported metrics show how much of the grid it actually simulates.
 func BenchmarkTunerSearchBnB(b *testing.B) {
 	prof := &profile.Profiler{
 		Model: cost.GPT3_13B, HW: cost.A100_40G,
@@ -613,11 +612,6 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 		b.ReportMetric(float64(st.MemPruned), "mem-pruned")
 	}
 	b.Run("bnb", func(b *testing.B) { run(b, space) })
-	b.Run("grid", func(b *testing.B) {
-		s := space
-		s.NoBnB = true
-		run(b, s)
-	})
 }
 
 // BenchmarkOptimizeAPI measures the end-to-end public Optimize call

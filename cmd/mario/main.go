@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mario -model GPT3-13B -devices 32 -gbs 128 -mem 40G [-scheme Auto]
-//	      [-tp 1] [-workers 0] [-no-prune] [-no-bnb] [-no-delta]
+//	      [-tp 1] [-workers 0] [-no-prune] [-no-delta]
 //	      [-run 3] [-viz] [-svg out.svg]
 //	      [-trace out.json] [-trace-measured out.json] [-events out.jsonl]
 //	      [-search-trace out.json] [-search-spans out.jsonl]
@@ -58,8 +58,7 @@ func main() {
 		tp        = flag.Int("tp", 1, "tensor-parallel degree (held constant)")
 		workers   = flag.Int("workers", 0, "concurrent tuner evaluations (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		gWorkers  = flag.Int("graph-workers", 0, "concurrent prepose-candidate simulations inside each graph-tuner call (0/1 = inline; results are identical)")
-		noPrune   = flag.Bool("no-prune", false, "disable the tuner's upper-bound prune (simulate every feasible configuration)")
-		noBnB     = flag.Bool("no-bnb", false, "use the canonical-order grid walk instead of branch-and-bound search (same best plan, more points simulated)")
+		noPrune   = flag.Bool("no-prune", false, "disable the tuner's bound and memory prunes (simulate every feasible configuration)")
 		noDelta   = flag.Bool("no-delta", false, "disable delta re-simulation in the graph passes (same plan, full fixpoint per candidate)")
 		split     = flag.Bool("split", false, "also try ZB-H1 split-backward on checkpointed candidates")
 		runIters  = flag.Int("run", 0, "execute the winning schedule for N iterations on the emulated cluster")
@@ -170,7 +169,6 @@ func main() {
 			TP:            *tp,
 			SplitBackward: *split,
 			NoPrune:       *noPrune,
-			NoBnB:         *noBnB,
 			NoDelta:       *noDelta,
 			Workers:       *workers,
 			DeviceSpeeds:  deviceSpeeds,
@@ -188,7 +186,6 @@ func main() {
 			Workers:         *workers,
 			GraphWorkers:    *gWorkers,
 			NoPrune:         *noPrune,
-			NoBnB:           *noBnB,
 			NoDelta:         *noDelta,
 			DeviceSpeeds:    deviceSpeeds,
 			Placement:       *placementArg,
@@ -206,7 +203,6 @@ func main() {
 				TP:            *tp,
 				SplitBackward: *split,
 				NoPrune:       *noPrune,
-				NoBnB:         *noBnB,
 				DeviceSpeeds:  deviceSpeeds,
 				Placement:     *placementArg,
 			}

@@ -19,8 +19,8 @@ type SearchTraceResult struct {
 	Trace   *telemetry.Trace
 	Metrics *telemetry.SearchMetrics
 	// BnB and Grid are the search stats of the branch-and-bound walk (the
-	// traced run above) and of a canonical grid walk over the identical
-	// space: same argmax, different number of simulated points.
+	// traced run above) and of the exhaustive walk over the identical grid
+	// (Space.NoPrune): same argmax, different number of simulated points.
 	BnB  tuner.SearchStats
 	Grid tuner.SearchStats
 }
@@ -60,18 +60,17 @@ func SearchTrace(opt Opts) (*SearchTraceResult, error) {
 	}
 	root.End()
 
-	// The strategy comparison: walk the identical space with the canonical
-	// grid (bound pruning only behind the incumbent, no best-first order,
-	// no admissible memory floor) and check it lands on the same argmax.
+	// The comparison: simulate every feasible point of the identical grid
+	// and check the exhaustive walk lands on the same argmax.
 	gridSpace := space
-	gridSpace.NoBnB = true
+	gridSpace.NoPrune = true
 	gridTn := &tuner.Tuner{Prof: tn.Prof, MaxRounds: 1}
 	gridBest, _, err := gridTn.Search(gridSpace)
 	if err != nil {
 		return nil, err
 	}
 	if gridBest.Label() != best.Label() {
-		return nil, fmt.Errorf("searchtrace: grid argmax %s != bnb argmax %s", gridBest.Label(), best.Label())
+		return nil, fmt.Errorf("searchtrace: exhaustive argmax %s != bnb argmax %s", gridBest.Label(), best.Label())
 	}
 	return &SearchTraceResult{
 		Best:    best.Label(),
@@ -121,8 +120,8 @@ func PrintSearchTrace(w io.Writer, r *SearchTraceResult) {
 	// grid best-first by an admissible throughput upper bound, so once the
 	// true optimum is simulated every point whose bound cannot beat it is
 	// cut, and the admissible memory floor rejects configurations that
-	// cannot fit before any simulation. The canonical grid only skips
-	// points whose bound falls behind the incumbent it happens to have.
+	// cannot fit before any simulation. The grid row simulates every
+	// feasible point.
 	fmt.Fprintf(w, "\nstrategy comparison (identical argmax %s):\n", r.Best)
 	for _, row := range []struct {
 		name string

@@ -61,13 +61,9 @@ type PlanRequest struct {
 	// MinPP and MaxPP bound the pipeline dimension.
 	MinPP int `json:"min_pp,omitempty"`
 	MaxPP int `json:"max_pp,omitempty"`
-	// NoPrune disables the upper-bound prune so the trace holds the full
-	// Fig. 11 curve. It changes the trace, hence it is fingerprinted.
+	// NoPrune disables the bound and memory prunes so the trace holds the
+	// full Fig. 11 curve. It changes the trace, hence it is fingerprinted.
 	NoPrune bool `json:"no_prune,omitempty"`
-	// NoBnB replaces the branch-and-bound search with the canonical-order
-	// grid walk. The best plan is identical, but the trace and search stats
-	// differ, hence it is fingerprinted.
-	NoBnB bool `json:"no_bnb,omitempty"`
 	// Machine overrides the emulated hardware imperfections; nil uses
 	// profile.DefaultMachine.
 	Machine *profile.MachineSpec `json:"machine,omitempty"`
@@ -172,19 +168,22 @@ func (r *PlanRequest) Validate() (cost.ModelConfig, error) {
 // order is fixed and every field is either a value or a canonicalized
 // pointer, so encoding/json renders identical requests to identical bytes.
 type fingerprintKey struct {
-	Model        cost.ModelConfig     `json:"model"`
-	Scheme       string               `json:"scheme"`
-	GlobalBatch  int                  `json:"global_batch"`
-	Devices      int                  `json:"devices"`
-	MemoryBytes  float64              `json:"memory_bytes"`
-	TP           int                  `json:"tp"`
-	Checkpoint   *bool                `json:"checkpoint"`
-	Split        bool                 `json:"split"`
-	MicroBatches []int                `json:"micro_batches"`
-	MinPP        int                  `json:"min_pp"`
-	MaxPP        int                  `json:"max_pp"`
-	NoPrune      bool                 `json:"no_prune"`
-	NoBnB        bool                 `json:"no_bnb"`
+	Model        cost.ModelConfig `json:"model"`
+	Scheme       string           `json:"scheme"`
+	GlobalBatch  int              `json:"global_batch"`
+	Devices      int              `json:"devices"`
+	MemoryBytes  float64          `json:"memory_bytes"`
+	TP           int              `json:"tp"`
+	Checkpoint   *bool            `json:"checkpoint"`
+	Split        bool             `json:"split"`
+	MicroBatches []int            `json:"micro_batches"`
+	MinPP        int              `json:"min_pp"`
+	MaxPP        int              `json:"max_pp"`
+	NoPrune      bool             `json:"no_prune"`
+	// Reserved is always false. It holds the place of a retired strategy
+	// knob so every fingerprint keeps its bytes (cache keys and fleet ring
+	// ownership depend on them).
+	Reserved     bool                 `json:"no_bnb"`
 	Machine      *profile.MachineSpec `json:"machine"`
 	Hardware     *cost.Hardware       `json:"hardware"`
 	DeviceSpeeds []float64            `json:"device_speeds"`
@@ -212,7 +211,6 @@ func (r *PlanRequest) Fingerprint(model cost.ModelConfig) string {
 		MinPP:        r.MinPP,
 		MaxPP:        r.MaxPP,
 		NoPrune:      r.NoPrune,
-		NoBnB:        r.NoBnB,
 		Machine:      r.Machine,
 		Hardware:     r.Hardware,
 		DeviceSpeeds: r.DeviceSpeeds,
@@ -243,7 +241,6 @@ func (r *PlanRequest) Config(workers int) mario.Config {
 		MinPP:           r.MinPP,
 		MaxPP:           r.MaxPP,
 		NoPrune:         r.NoPrune,
-		NoBnB:           r.NoBnB,
 		NoDelta:         r.NoDelta,
 		Workers:         workers,
 		DeviceSpeeds:    r.DeviceSpeeds,
@@ -298,8 +295,8 @@ type PlanResponse struct {
 }
 
 // ProgressEvent is one tuner progress update, streamed to every subscriber
-// of a flight as it searches. Events arrive in canonical grid order (the
-// tuner's merge-loop contract); a slow subscriber may observe gaps — each
+// of a flight as it searches. Events arrive in the tuner's deterministic
+// merge order (its merge-loop contract); a slow subscriber may observe gaps — each
 // event is a complete snapshot, so dropping intermediate ones loses nothing
 // but granularity.
 type ProgressEvent struct {

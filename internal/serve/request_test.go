@@ -46,11 +46,21 @@ func TestRequestValidateErrors(t *testing.T) {
 }
 
 // TestFingerprintStrategyFields pins which of the search-strategy knobs are
-// part of the workload identity. NoPrune and NoBnB change the trace and the
-// search stats, so they must produce distinct cache entries; NoDelta, Workers
-// and TimeoutSec are speed controls with bit-identical plans, so they must
-// share one.
+// part of the workload identity. NoPrune changes the trace and the search
+// stats, so it must produce a distinct cache entry; NoDelta, Workers and
+// TimeoutSec are speed controls with bit-identical plans, so they must share
+// one. A pinned fingerprint guards the key's bytes: cache keys and fleet ring
+// ownership depend on them.
 func TestFingerprintStrategyFields(t *testing.T) {
+	pinned := PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "40G"}
+	pinnedModel, err := pinned.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pinned.Fingerprint(pinnedModel), "bf09178482f5fb64c0f23aa9e2757c78ca926e34766deeba3fecc59ebe77950d"; got != want {
+		t.Errorf("fingerprint of %+v = %s, want %s", pinned, got, want)
+	}
+
 	fp := func(mut func(*PlanRequest)) string {
 		r := PlanRequest{Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64}
 		if mut != nil {
@@ -66,7 +76,6 @@ func TestFingerprintStrategyFields(t *testing.T) {
 
 	for name, mut := range map[string]func(*PlanRequest){
 		"no_prune": func(r *PlanRequest) { r.NoPrune = true },
-		"no_bnb":   func(r *PlanRequest) { r.NoBnB = true },
 	} {
 		if fp(mut) == base {
 			t.Errorf("%s: fingerprint unchanged, want a distinct cache identity", name)
@@ -94,14 +103,14 @@ func TestFingerprintStrategyFields(t *testing.T) {
 func TestRequestConfigPlumbing(t *testing.T) {
 	r := PlanRequest{
 		Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64,
-		NoPrune: true, NoBnB: true, NoDelta: true,
+		NoPrune: true, NoDelta: true,
 	}
 	if _, err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	conf := r.Config(3)
-	if !conf.NoPrune || !conf.NoBnB || !conf.NoDelta {
-		t.Errorf("config dropped a strategy knob: NoPrune=%v NoBnB=%v NoDelta=%v", conf.NoPrune, conf.NoBnB, conf.NoDelta)
+	if !conf.NoPrune || !conf.NoDelta {
+		t.Errorf("config dropped a strategy knob: NoPrune=%v NoDelta=%v", conf.NoPrune, conf.NoDelta)
 	}
 	if conf.Workers != 3 {
 		t.Errorf("config.Workers = %d, want the resolved value 3", conf.Workers)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
@@ -12,25 +13,26 @@ import (
 	"mario/internal/telemetry"
 )
 
-// This file implements the branch-and-bound search strategy (the default):
-// instead of walking the grid in canonical order and pruning only against the
-// canonical best-so-far, it probes every point cheaply first — structural
-// checks, memoized schedule build, a tightened admissible throughput upper
-// bound, and an admissible memory lower bound — and then expands the feasible
-// points in best-first order (highest bound first, provably-OOM points last).
+// This file implements the search core, one branch-and-bound walk over the
+// grid. A cheap probe pass visits every point in canonical order —
+// structural checks, memoized schedule build, an admissible throughput upper
+// bound and an admissible memory lower bound — and the feasible points are
+// then expanded best-first (highest bound first, provably-OOM points last).
 // The best candidates surface early, so the bound prune fires on most of the
 // remaining grid, and points whose memory lower bound already exceeds the
-// device budget are skipped entirely once any positive-throughput incumbent
-// exists (their simulated throughput is provably zero under Equation 1's OOM
+// device budget are skipped once any positive-throughput incumbent exists
+// (their simulated throughput is provably zero under Equation 1's OOM
 // penalty).
 //
-// The strategy is exact: it returns the byte-identical best candidate the
-// grid walk returns, with the same canonical tie-break (highest throughput,
-// earliest grid index among ties). The equivalence is pinned by differential
-// tests against searchGrid with Space.NoPrune. Only the exploration order —
-// and with it the subset of points that get simulated, the trace contents and
-// the ordering-variant stats counters — differs; the ordering-invariant
-// digest (SearchStats.invariant) is preserved.
+// Outcomes come from one of two sources — the local worker pool (evalLocal)
+// or a planning fleet's shard waves (evalFleet) — and one merge loop decides
+// every node in sorted order against the incumbent, so the result never
+// depends on the source, the worker count or the fleet shape. The walk is
+// exact: it returns the best candidate of the exhaustive canonical walk,
+// with the same tie-break (highest throughput, earliest grid index among
+// ties). Only the subset of points that get simulated differs; the
+// ordering-invariant digest (SearchStats.invariant) is preserved.
+// Space.NoPrune turns every decision into an expansion.
 
 // bnbNode is one probed, structurally feasible grid point awaiting
 // expansion.
@@ -58,41 +60,47 @@ func (n bnbNode) effUB() float64 {
 	return n.ub
 }
 
-// Merge-time outcomes of a bnb node.
+// Merge-time outcomes of a node.
 const (
 	exploreNode = iota
 	memPruneNode
 	boundPruneNode
 )
 
-// probePoint runs the cheap prefix of evalPoint — the structural feasibility
-// checks, the memoized schedule build and the estimator fit — and computes
-// the branch-and-bound bounds. It reports ok=false for structurally
-// infeasible points (the same set evalPoint rejects: indivisible batch,
-// scheme constraints, too few layers). It records no telemetry; the caller
-// synthesizes the canonical spans.
+// incumbent is the best candidate merged so far as the prune sees it: its
+// throughput and canonical grid index.
+type incumbent struct {
+	tp  float64
+	idx int
+}
+
+// decide classifies a node against the incumbent (nil before the first
+// explored candidate). A node whose bound cannot beat the incumbent — or can
+// at most tie it from a later canonical index, losing the tie-break — never
+// changes the result; neither does a provably-OOM node once the incumbent is
+// positive. The incumbent only improves as the merge proceeds, so a prune
+// decided against an older incumbent still holds against every later one:
+// that is what makes speculative worker-side skips exact.
+func decide(nd bnbNode, inc *incumbent, noPrune bool) int {
+	switch {
+	case inc == nil || noPrune:
+		return exploreNode
+	case nd.doomed && inc.tp > 0:
+		return memPruneNode
+	case nd.ub < inc.tp || (nd.ub == inc.tp && nd.idx > inc.idx):
+		return boundPruneNode
+	}
+	return exploreNode
+}
+
+// probePoint runs the cheap prefix of evalPoint (preparePoint) and computes
+// the branch-and-bound bounds. It reports ok=false for exactly the points
+// evalPoint rejects as structurally infeasible. It records no telemetry; the
+// caller synthesizes the canonical spans.
 func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
 	nd = bnbNode{p: p, ub: math.Inf(1)}
-	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
-		return nd, false
-	}
-	micros := space.GlobalBatch / (p.mbs * p.dp)
-	if micros < 1 {
-		return nd, false
-	}
-	stages := p.pp
-	if p.scheme == pipeline.SchemeInterleave {
-		stages = p.pp * space.Chunks
-	}
-	if t.Prof.Model.Layers < stages {
-		return nd, false
-	}
-	sched, err := t.buildFor(space, p, micros)
-	if err != nil {
-		return nd, false
-	}
-	est, _, err := t.estimatorFor(space, p, sched, stages)
-	if err != nil {
+	sched, est, _, ok := t.preparePoint(space, p, telemetry.Span{})
+	if !ok {
 		return nd, false
 	}
 	nd.ub = t.bnbBound(sched, est, p)
@@ -101,8 +109,9 @@ func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
 	return nd, true
 }
 
-// bnbBound returns an admissible throughput upper bound for the point,
-// tighter than upperBound: the makespan lower bound is the maximum of
+// bnbBound returns an admissible throughput upper bound for the point: the
+// samples per iteration over a makespan lower bound, times the DP
+// efficiency. The makespan lower bound is the maximum of
 //
 //   - the busiest device's serial occupancy over the built list, where every
 //     instruction contributes at least its launch overhead and compute
@@ -169,7 +178,12 @@ func (t *Tuner) bnbBound(sched *pipeline.Schedule, est *cost.Estimator, p gridPo
 	return samples / lb * t.dpEff(p.dp)
 }
 
-// chainBound is the single-micro dependency-chain half of bnbBound.
+// chainBound is the single-micro dependency-chain half of bnbBound. The
+// chain is summed term by term in the order the simulator adds the same
+// durations along the micro's path (forward, send overhead, transfer, next
+// forward, …), never regrouped: float addition rounds monotonically, so a
+// chain at least as long as the simulated path in every term cannot round
+// above it, even when the path is the whole makespan.
 func (t *Tuner) chainBound(sched *pipeline.Schedule, est *cost.Estimator, p gridPoint) float64 {
 	lo := est.LaunchOverhead
 	S := sched.NumStages()
@@ -181,49 +195,18 @@ func (t *Tuner) chainBound(sched *pipeline.Schedule, est *cost.Estimator, p grid
 	// inadmissible.
 	r := 1.0
 	if p.scheme.SplitsBackward() || (t.SplitBackward && p.ckpt) {
-		r = est.BwSplitRatio
-		if r < 0 {
-			r = 0
-		}
-		if r > 1 {
-			r = 1
-		}
+		r = min(max(est.BwSplitRatio, 0), 1)
 	}
 	pl := sched.Placement
 	// Per-stage compute scaling: the micro rides some part, so the cheapest
 	// part's slowdown lower-bounds whichever rank actually runs the stage
-	// (exactly 1 on homogeneous estimators, keeping the legacy bound
-	// bit-identical).
+	// (exactly 1 on homogeneous estimators).
 	minSlow := func(st int) float64 {
 		mn := est.SlowOf(stageDevice(pl, 0, st))
 		for part := 1; part < pl.NumParts(); part++ {
-			if s := est.SlowOf(stageDevice(pl, part, st)); s < mn {
-				mn = s
-			}
+			mn = min(mn, est.SlowOf(stageDevice(pl, part, st)))
 		}
 		return mn
-	}
-	var chain float64
-	for st := 0; st < S; st++ {
-		sl := minSlow(st)
-		chain += (lo + est.FwTime[st]*sl) + (lo + r*est.BwTime[st]*sl)
-	}
-	actHop := lo + est.CommTime(est.ActP2PBytes)
-	gradHop := lo + est.CommTime(est.GradP2PBytes)
-	minComm := math.Inf(1)
-	for part := 0; part < pl.NumParts(); part++ {
-		crossings := 0
-		for st := 0; st+1 < S; st++ {
-			if stageDevice(pl, part, st) != stageDevice(pl, part, st+1) {
-				crossings++
-			}
-		}
-		if c := float64(crossings) * (actHop + gradHop); c < minComm {
-			minComm = c
-		}
-	}
-	if !math.IsInf(minComm, 1) {
-		chain += minComm
 	}
 	// After the chain's final backward, its device still runs the cool-down
 	// AllReduce (payload lower-bounded at zero) and OptimizerStep. The
@@ -231,11 +214,32 @@ func (t *Tuner) chainBound(sched *pipeline.Schedule, est *cost.Estimator, p grid
 	// rank's slowdown keeps the term admissible.
 	optSlow := est.SlowOf(0)
 	for d := 1; d < len(sched.Lists); d++ {
-		if s := est.SlowOf(d); s < optSlow {
-			optSlow = s
-		}
+		optSlow = min(optSlow, est.SlowOf(d))
 	}
-	chain += 2*lo + est.OptTime*optSlow
+	actComm, gradComm := est.CommTime(est.ActP2PBytes), est.CommTime(est.GradP2PBytes)
+	// Multi-part placements take the cheapest part's chain, which
+	// lower-bounds whichever part the micro actually rides.
+	chain := math.Inf(1)
+	for part := 0; part < pl.NumParts(); part++ {
+		var c float64
+		for st := 0; st < S; st++ {
+			c += lo + est.FwTime[st]*minSlow(st)
+			if st+1 < S && stageDevice(pl, part, st) != stageDevice(pl, part, st+1) {
+				c += lo // the send's launch overhead, then the transfer
+				c += actComm
+			}
+		}
+		for st := S - 1; st >= 0; st-- {
+			c += lo + r*est.BwTime[st]*minSlow(st)
+			if st > 0 && stageDevice(pl, part, st) != stageDevice(pl, part, st-1) {
+				c += lo
+				c += gradComm
+			}
+		}
+		c += lo
+		c += lo + est.OptTime*optSlow
+		chain = min(chain, c)
+	}
 	return chain
 }
 
@@ -298,9 +302,8 @@ func memLowerBound(sched *pipeline.Schedule, est *cost.Estimator) float64 {
 }
 
 // pruneInfeasible records one structurally infeasible grid point: the
-// stats/metrics counters plus the canonical prune span. Every search
-// strategy (grid merge insurance, bnb probe and merge, fleet merge) funnels
-// structural prunes through it so the telemetry is strategy-independent.
+// stats/metrics counters plus the canonical prune span. The probe pass and
+// the merge loop both funnel structural prunes through it.
 func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) {
 	stats.Pruned++
 	t.publishStats(*stats)
@@ -313,13 +316,10 @@ func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, 
 	ps.AttachTo(search)
 }
 
-// probeAll runs the branch-and-bound probe pass: every grid point is probed
-// sequentially in canonical order (attaching the structural-prune spans
-// exactly as the grid walk would), and the feasible nodes come back sorted
-// best-first — descending bound, canonical index among ties, provably-OOM
-// points last. Both the local bnb strategy and the fleet coordinator start
-// here, which is what keeps their probe telemetry and expansion order
-// identical.
+// probeAll runs the probe pass: every grid point is probed sequentially in
+// canonical order (attaching the structural-prune spans), and the feasible
+// nodes come back sorted best-first — descending bound, canonical index
+// among ties, provably-OOM points last.
 func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) ([]bnbNode, error) {
 	nodes := make([]bnbNode, 0, len(points))
 	for i, p := range points {
@@ -344,92 +344,46 @@ func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, t
 	return nodes, nil
 }
 
-// searchBnB is the branch-and-bound strategy. Phase 1 and 2 are probeAll:
-// probe every point in canonical order, sort the feasible nodes best-first.
-// Phase 3 expands the sorted nodes through the worker pool and
-// merges results in sorted order, pruning against the incumbent with the
-// canonical tie-break, so the returned best candidate is byte-identical to
-// the grid walk's for every worker count.
-//
-// Worker-side skips are sound for the same reason as in the grid walk:
-// mergedBest only grows and never exceeds the merge loop's incumbent, so any
-// bound or doom the worker observed still holds when the merge loop decides
-// the node. Prune spans are always synthesized at merge time (a speculative
-// worker evaluation that lost the race is discarded wholesale), so the
-// canonical telemetry never depends on scheduling.
-func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
-	pruneInfeasible := func(idx int, p gridPoint) {
-		t.pruneInfeasible(idx, p, tracer, search, stats)
-	}
-
-	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-
+// expand is the merge loop: it takes the sorted nodes' outcomes from the
+// fleet when Tuner.Sharder is set and from the local pool otherwise, and
+// folds them into the search state in sorted order. Every prune is decided
+// here against the canonical incumbent, never against worker-time state, and
+// an outcome without a verdict (a skip the incumbent cannot confirm, a lost
+// shard point, a stale cancellation from another search's memo entry) is
+// re-evaluated inline. Locally simulated points keep their recorded span
+// subtree; every other span is synthesized from the decision alone, which
+// keeps the canonical span tree independent of the worker count and the
+// fleet shape.
+func (t *Tuner) expand(ctx context.Context, space Space, nodes []bnbNode, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
 	var best *Candidate
-	bestIdx := -1
-	mb := &mergedBest{}
+	var inc atomic.Pointer[incumbent] // published to the local workers
+	var fl FleetStats
 	type traceEnt struct {
 		idx int
 		c   Candidate
 	}
 	var ents []traceEnt
-
-	// decide classifies a node against the incumbent. Runs on the merge
-	// goroutine only.
-	decide := func(nd bnbNode) int {
-		if best == nil {
-			return exploreNode
-		}
-		if nd.doomed && best.Throughput > 0 {
-			return memPruneNode
-		}
-		// A node whose bound cannot beat the incumbent — or can at most tie
-		// it from a later canonical index, losing the tie-break — never
-		// changes the result.
-		if nd.ub < best.Throughput || (nd.ub == best.Throughput && nd.idx > bestIdx) {
-			return boundPruneNode
-		}
-		return exploreNode
+	// Fleet point spans carry no evaluation children: the per-phase
+	// telemetry lives on the workers, and the local fallback must not make
+	// the tree depend on fleet health.
+	evalTracer := tracer
+	if t.Sharder != nil {
+		evalTracer = nil
 	}
-
-	synthPrune := func(nd bnbNode, result string) telemetry.Span {
+	synth := func(nd bnbNode) telemetry.Span {
 		ps := tracer.Detached(telemetry.PhasePoint, pointKey(nd.idx, nd.p))
-		ps.SetStr("result", result)
+		ps.End()
 		return ps
 	}
 
 	merge := func(nd bnbNode, pr pointResult) error {
 		sp := pr.span
-		// Workers that skipped every remaining node (the incumbent already
-		// dominates them) never observe a cancellation, so the merge loop
-		// checks it directly: a cancelled search must abort, not complete.
-		if cerr := ctx.Err(); cerr != nil {
+		if err := ctx.Err(); err != nil {
 			sp.Discard()
-			return cerr
+			return err
 		}
-		if pr.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				sp.Discard()
-				return cerr
-			}
-			// Stale cancellation from a memo entry another (cancelled) search
-			// computed: drop it and fall through as a skip; the explore path
-			// below re-evaluates under our live context.
-			sp.Discard()
-			sp = telemetry.Span{}
-			pr = pointResult{feasible: true, skipped: true}
-		}
-		if !pr.feasible {
-			// The probe's structural prefix passed but the full evaluation
-			// still failed (a graph-pass error): the grid walk counts that as
-			// a structural prune, so the bnb path does too.
-			sp.Discard()
-			pruneInfeasible(nd.idx, nd.p)
-			return nil
-		}
-		switch decide(nd) {
+		cur := inc.Load()
+		switch decide(nd, cur, space.NoPrune) {
 		case memPruneNode:
 			sp.Discard()
 			stats.MemPruned++
@@ -437,9 +391,9 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			if m := t.Metrics; m != nil {
 				m.PointsMemPruned.Inc()
 			}
-			ps := synthPrune(nd, "memory_pruned")
+			ps := synth(nd)
+			ps.SetStr("result", "memory_pruned")
 			ps.SetFloat("mem_lb", nd.memLB)
-			ps.End()
 			ps.AttachTo(search)
 			return nil
 		case boundPruneNode:
@@ -449,44 +403,41 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			if m := t.Metrics; m != nil {
 				m.PointsBoundPruned.Inc()
 			}
-			ps := synthPrune(nd, "bound_pruned")
+			ps := synth(nd)
+			ps.SetStr("result", "bound_pruned")
 			ps.SetFloat("ub", nd.ub)
-			ps.End()
 			ps.AttachTo(search)
 			return nil
 		}
-		c := pr.cand
-		if c == nil {
-			// The worker skipped but the incumbent cannot justify the prune
-			// (e.g. a bound tie from an earlier canonical index): evaluate
-			// inline so the result stays exact.
+		if pr.err != nil || (!pr.infeasible && pr.cand == nil) {
 			sp.Discard()
-			forced := t.evalTraced(ctx, space, nd.idx, nd.p, nil, nil, tracer)
-			sp = forced.span
-			if forced.err != nil {
+			fl.Forced++
+			pr = t.evalTraced(ctx, space, nd.idx, nd.p, nil, evalTracer)
+			sp = pr.span
+			if pr.err != nil {
 				sp.Discard()
-				return forced.err
-			}
-			c = forced.cand
-			if c == nil {
-				sp.Discard()
-				pruneInfeasible(nd.idx, nd.p)
-				return nil
+				return pr.err
 			}
 		}
+		if pr.infeasible {
+			// The probe's structural prefix passed but the full evaluation
+			// still failed (a graph-pass error): a structural prune.
+			sp.Discard()
+			t.pruneInfeasible(nd.idx, nd.p, tracer, search, stats)
+			return nil
+		}
+		c := pr.cand
 		stats.Explored++
 		if c.OOM {
 			stats.OOMRejected++
 		}
 		ents = append(ents, traceEnt{idx: nd.idx, c: *c})
-		improved := best == nil || c.Throughput > best.Throughput ||
-			(c.Throughput == best.Throughput && nd.idx < bestIdx)
+		improved := cur == nil || c.Throughput > cur.tp || (c.Throughput == cur.tp && nd.idx < cur.idx)
 		if improved {
 			cc := *c
 			best = &cc
-			bestIdx = nd.idx
+			inc.Store(&incumbent{tp: c.Throughput, idx: nd.idx})
 			stats.Improved++
-			mb.store(best.Throughput)
 		}
 		t.publishStats(*stats)
 		if m := t.Metrics; m != nil {
@@ -498,11 +449,15 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 				m.PointsImproved.Inc()
 			}
 		}
+		if !sp.Live() {
+			sp = synth(nd)
+		}
 		if c.OOM {
 			sp.SetStr("result", "oom")
 		} else {
 			sp.SetStr("result", "explored")
 		}
+		sp.SetFloat("ub", nd.ub)
 		sp.SetFloat("throughput", c.Throughput)
 		if improved {
 			sp.SetBool("improved", true)
@@ -514,73 +469,13 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 		return nil
 	}
 
-	var searchErr error
-	if space.Workers <= 1 || len(nodes) <= 1 {
-		eng := &sim.Simulator{}
-		sims0 := eng.Sims
-		for _, nd := range nodes {
-			if err := ctx.Err(); err != nil {
-				searchErr = err
-				break
-			}
-			pr := pointResult{feasible: true, skipped: true}
-			if decide(nd) == exploreNode {
-				pr = t.evalTraced(ctx, space, nd.idx, nd.p, mb, eng, tracer)
-			}
-			if err := merge(nd, pr); err != nil {
-				searchErr = err
-				break
-			}
-		}
-		t.Metrics.AddSims(eng.Sims - sims0)
+	var err error
+	if t.Sharder != nil {
+		err = t.evalFleet(ctx, space, nodes, &inc, &fl, merge)
+		t.publishFleet(fl)
+		fl.addTo(t.Metrics)
 	} else {
-		workers := space.Workers
-		if workers > len(nodes) {
-			workers = len(nodes)
-		}
-		results := make([]pointResult, len(nodes))
-		ready := make([]chan struct{}, len(nodes))
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		jobs := make(chan int, len(nodes))
-		for i := range nodes {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng := &sim.Simulator{} // per-worker engine: a Simulator is not goroutine-safe
-				for j := range jobs {
-					if err := ctx.Err(); err != nil {
-						results[j] = pointResult{err: err}
-						close(ready[j])
-						continue
-					}
-					nd := nodes[j]
-					if v, ok := mb.load(); ok && (nd.ub < v || (nd.doomed && v > 0)) {
-						// mergedBest only grows, so the merge loop's own
-						// decide() is guaranteed to confirm this skip.
-						results[j] = pointResult{feasible: true, skipped: true}
-						close(ready[j])
-						continue
-					}
-					results[j] = t.evalTraced(ctx, space, nd.idx, nd.p, mb, eng, tracer)
-					close(ready[j])
-				}
-				t.Metrics.AddSims(eng.Sims)
-			}()
-		}
-		for j := range nodes {
-			<-ready[j]
-			if searchErr == nil {
-				searchErr = merge(nodes[j], results[j])
-			}
-		}
-		wg.Wait()
+		err = t.evalLocal(ctx, space, nodes, &inc, tracer, merge)
 	}
 
 	sort.Slice(ents, func(a, b int) bool { return ents[a].idx < ents[b].idx })
@@ -591,5 +486,65 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			trace[i] = ents[i].c
 		}
 	}
-	return best, trace, searchErr
+	return best, trace, err
+}
+
+// evalLocal is the local outcome source: it evaluates nodes on Space.Workers
+// goroutines (inline for one) and hands every outcome to emit in node order
+// as soon as it is ready, so merging overlaps evaluation. A worker skips a
+// node that decide already prunes against the published incumbent; the
+// merge confirms every such skip.
+func (t *Tuner) evalLocal(ctx context.Context, space Space, nodes []bnbNode, inc *atomic.Pointer[incumbent], tracer *telemetry.Tracer, emit func(bnbNode, pointResult) error) error {
+	eval := func(nd bnbNode, eng *sim.Simulator) pointResult {
+		if err := ctx.Err(); err != nil {
+			return pointResult{err: err}
+		}
+		if decide(nd, inc.Load(), space.NoPrune) != exploreNode {
+			return pointResult{}
+		}
+		return t.evalTraced(ctx, space, nd.idx, nd.p, eng, tracer)
+	}
+	if space.Workers <= 1 || len(nodes) <= 1 {
+		eng := &sim.Simulator{}
+		defer func() { t.Metrics.AddSims(eng.Sims) }()
+		for _, nd := range nodes {
+			if err := emit(nd, eval(nd, eng)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	workers := min(space.Workers, len(nodes))
+	results := make([]pointResult, len(nodes))
+	ready := make([]chan struct{}, len(nodes))
+	jobs := make(chan int, len(nodes))
+	for j := range nodes {
+		ready[j] = make(chan struct{})
+		jobs <- j
+	}
+	close(jobs)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := &sim.Simulator{} // per-worker engine: a Simulator is not goroutine-safe
+			for j := range jobs {
+				// Every dequeued job closes its ready channel, cancelled or
+				// not: the merger must never block on a skipped node.
+				results[j] = eval(nodes[j], eng)
+				close(ready[j])
+			}
+			t.Metrics.AddSims(eng.Sims)
+		}()
+	}
+	var err error
+	for j := range nodes {
+		<-ready[j]
+		if err == nil {
+			err = emit(nodes[j], results[j])
+		}
+	}
+	wg.Wait()
+	return err
 }

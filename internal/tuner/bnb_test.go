@@ -1,6 +1,8 @@
 package tuner
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -9,7 +11,62 @@ import (
 	"mario/internal/cost"
 	"mario/internal/pipeline"
 	"mario/internal/profile"
+	"mario/internal/telemetry"
 )
+
+// oracleRun is the outcome of the exhaustive reference walk.
+type oracleRun struct {
+	best   *Candidate
+	trace  []Candidate
+	points []gridPoint // the explored grid points, parallel to trace
+	pruned int
+	err    error
+}
+
+// oracle is the exhaustive reference the search core is tested against: it
+// calls evalPoint on every enumerate() point in canonical order and keeps
+// the highest throughput, the lowest grid index breaking ties. It shares no
+// code with the core beyond the point evaluation itself.
+func oracle(tn *Tuner, sp Space) oracleRun {
+	sp = sp.withDefaults()
+	var o oracleRun
+	for _, p := range enumerate(sp) {
+		pr := tn.evalPoint(context.Background(), sp, p, nil, telemetry.Span{})
+		if pr.infeasible {
+			o.pruned++
+			continue
+		}
+		o.trace = append(o.trace, *pr.cand)
+		o.points = append(o.points, p)
+		if o.best == nil || pr.cand.Throughput > o.best.Throughput {
+			o.best = pr.cand
+		}
+	}
+	if o.best == nil {
+		o.err = errors.New("tuner: no feasible configuration in the search space")
+	}
+	return o
+}
+
+// out renders the oracle's result in the strategy-comparison form.
+func (o oracleRun) out() stratOut {
+	out := stratOut{pruned: o.pruned, feasible: len(o.trace)}
+	if o.err != nil {
+		out.err = o.err.Error()
+		return out
+	}
+	out.best = candString(*o.best)
+	return out
+}
+
+// runOracle runs the oracle on a fresh tuner (optionally mutated).
+func runOracle(sp Space, mut func(*Tuner)) oracleRun {
+	tn := newTuner()
+	if mut != nil {
+		mut(tn)
+	}
+	return oracle(tn, sp)
+}
 
 // pointOf reconstructs the canonical grid coordinate of a traced candidate.
 func pointOf(c Candidate) gridPoint {
@@ -54,10 +111,10 @@ func runSpace(t *testing.T, sp Space, mut func(*Tuner)) searchRun {
 	return run
 }
 
-// stratOut is the strategy-independent outcome of a Search: the error text,
+// stratOut is the prune-independent outcome of a Search: the error text,
 // the best candidate rendered byte-exactly, and the ordering-invariant stats
 // digest. Traces and ordering-variant counters legitimately differ between
-// the grid walk and branch-and-bound, so they are excluded.
+// a pruned search and the exhaustive walk, so they are excluded.
 type stratOut struct {
 	err      string
 	best     string
@@ -70,6 +127,11 @@ func runStrategy(sp Space, mut func(*Tuner)) stratOut {
 	if mut != nil {
 		mut(tn)
 	}
+	return searchOut(tn, sp)
+}
+
+// searchOut runs one Search on tn and captures its stratOut.
+func searchOut(tn *Tuner, sp Space) stratOut {
 	best, _, err := tn.Search(sp)
 	out := stratOut{}
 	out.pruned, out.feasible = tn.Stats.invariant()
@@ -82,11 +144,10 @@ func runStrategy(sp Space, mut func(*Tuner)) stratOut {
 }
 
 // TestBnBMatchesGridArgmax is the headline equivalence contract: on the same
-// space, the branch-and-bound search (the default), the canonical grid walk
-// (NoBnB) and the exhaustive walk (NoPrune) return the byte-identical best
-// candidate and partition the grid into the same structural-prune / feasible
-// sets, while branch-and-bound simulates no more points than the exhaustive
-// walk.
+// space, the search (the default), the search under NoPrune and the
+// exhaustive oracle return the byte-identical best candidate and partition
+// the grid into the same structural-prune / feasible sets, and the NoPrune
+// search's trace is the oracle's, candidate for candidate.
 func TestBnBMatchesGridArgmax(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -125,26 +186,34 @@ func TestBnBMatchesGridArgmax(t *testing.T) {
 			bnbSp := tc.sp
 			bnb := runStrategy(bnbSp, mut)
 
-			gridSp := tc.sp
-			gridSp.NoBnB = true
-			grid := runStrategy(gridSp, mut)
+			orc := runOracle(tc.sp, mut)
+			grid := orc.out()
 
 			fullSp := tc.sp
 			fullSp.NoPrune = true
 			fullTn := newTuner()
 			mut(fullTn)
-			fullBest, _, err := fullTn.Search(fullSp)
+			fullBest, fullTrace, err := fullTn.Search(fullSp)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(fullTrace) != len(orc.trace) {
+				t.Fatalf("NoPrune trace has %d candidates, oracle %d", len(fullTrace), len(orc.trace))
+			}
+			for i := range fullTrace {
+				if got, want := candString(fullTrace[i]), candString(orc.trace[i]); got != want {
+					t.Errorf("NoPrune trace[%d] differs from the oracle's\n got: %s\nwant: %s", i, got, want)
+					break
+				}
 			}
 			full := stratOut{best: candString(*fullBest)}
 			full.pruned, full.feasible = fullTn.Stats.invariant()
 
 			if bnb.err != "" || grid.err != "" {
-				t.Fatalf("unexpected errors: bnb=%q grid=%q", bnb.err, grid.err)
+				t.Fatalf("unexpected errors: bnb=%q oracle=%q", bnb.err, grid.err)
 			}
 			if bnb.best != grid.best {
-				t.Errorf("bnb best differs from grid best:\n bnb: %s\ngrid: %s", bnb.best, grid.best)
+				t.Errorf("bnb best differs from oracle best:\n   bnb: %s\noracle: %s", bnb.best, grid.best)
 			}
 			if bnb.best != full.best {
 				t.Errorf("bnb best differs from exhaustive best:\n bnb: %s\nfull: %s", bnb.best, full.best)
@@ -152,7 +221,7 @@ func TestBnBMatchesGridArgmax(t *testing.T) {
 			for _, o := range []struct {
 				name string
 				out  stratOut
-			}{{"grid", grid}, {"full", full}} {
+			}{{"oracle", grid}, {"full", full}} {
 				if bnb.pruned != o.out.pruned || bnb.feasible != o.out.feasible {
 					t.Errorf("invariant digest differs bnb=(%d,%d) %s=(%d,%d)",
 						bnb.pruned, bnb.feasible, o.name, o.out.pruned, o.out.feasible)
@@ -209,9 +278,9 @@ func memPressureSpace(t *testing.T) Space {
 
 // TestBnBMemoryPruneDeterministic puts the memory-feasibility prune under the
 // determinism contract: on a space engineered so the pp=4 column provably
-// OOMs, the branch-and-bound search mem-prunes those points without
-// simulating them, returns the grid walk's best candidate, and emits
-// byte-identical outputs for every worker count.
+// OOMs, the search mem-prunes those points without simulating them, returns
+// the oracle's best candidate, and emits byte-identical outputs for every
+// worker count.
 func TestBnBMemoryPruneDeterministic(t *testing.T) {
 	sp := memPressureSpace(t)
 
@@ -246,18 +315,16 @@ func TestBnBMemoryPruneDeterministic(t *testing.T) {
 		}
 	}
 
-	gridSp := sp
-	gridSp.NoBnB = true
-	grid := runStrategy(gridSp, nil)
+	grid := runOracle(sp, nil).out()
 	if grid.err != "" {
 		t.Fatal(grid.err)
 	}
 	if base.best != grid.best {
-		t.Errorf("mem-pruned bnb best differs from grid best:\n bnb: %s\ngrid: %s", base.best, grid.best)
+		t.Errorf("mem-pruned bnb best differs from oracle best:\n   bnb: %s\noracle: %s", base.best, grid.best)
 	}
 	p, f := base.stats.invariant()
 	if p != grid.pruned || f != grid.feasible {
-		t.Errorf("invariant digest differs: bnb=(%d,%d) grid=(%d,%d)", p, f, grid.pruned, grid.feasible)
+		t.Errorf("invariant digest differs: bnb=(%d,%d) oracle=(%d,%d)", p, f, grid.pruned, grid.feasible)
 	}
 }
 
@@ -369,7 +436,7 @@ func TestBnBPrunedNodesCannotWin(t *testing.T) {
 }
 
 // TestBnBEdgeCases is the table-driven parity check on degenerate spaces:
-// fully infeasible grids (both strategies must return the identical error),
+// fully infeasible grids (search and oracle must return the identical error),
 // dp=1 (PP pinned to the device count), a single-device single-stage
 // pipeline, an all-OOM budget (the argmax falls back to the canonically first
 // zero-throughput candidate) and a one-sample batch.
@@ -434,20 +501,18 @@ func TestBnBEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bnb := runStrategy(tc.sp, nil)
-			gridSp := tc.sp
-			gridSp.NoBnB = true
-			grid := runStrategy(gridSp, nil)
+			grid := runOracle(tc.sp, nil).out()
 			if bnb.err != grid.err {
-				t.Fatalf("error parity broken: bnb=%q grid=%q", bnb.err, grid.err)
+				t.Fatalf("error parity broken: bnb=%q oracle=%q", bnb.err, grid.err)
 			}
 			if tc.wantErr != "" && bnb.err != tc.wantErr {
 				t.Fatalf("error = %q, want %q", bnb.err, tc.wantErr)
 			}
 			if bnb.best != grid.best {
-				t.Errorf("best differs:\n bnb: %s\ngrid: %s", bnb.best, grid.best)
+				t.Errorf("best differs:\n   bnb: %s\noracle: %s", bnb.best, grid.best)
 			}
 			if bnb.pruned != grid.pruned || bnb.feasible != grid.feasible {
-				t.Errorf("invariant digest differs: bnb=(%d,%d) grid=(%d,%d)",
+				t.Errorf("invariant digest differs: bnb=(%d,%d) oracle=(%d,%d)",
 					bnb.pruned, bnb.feasible, grid.pruned, grid.feasible)
 			}
 		})
@@ -502,17 +567,23 @@ func TestBnBExplorationEfficiency(t *testing.T) {
 	}
 }
 
-// FuzzBnBArgmaxEquivalence drives the branch-and-bound search and the
-// exhaustive grid walk over randomized small spaces and demands the
-// byte-identical best plan, matching error text, and an equal
-// ordering-invariant stats digest — the differential fuzzer for the search
-// strategy, mirroring FuzzDeltaSimEquivalence for the simulator.
+// FuzzBnBArgmaxEquivalence is the differential fuzzer of the search core:
+// over randomized small spaces — every scheme family, an optional 0.8×
+// device with placement auto, the split-backward pass — the search with one
+// and three workers and the in-process two-shard fleet must each return the
+// oracle's byte-identical best plan, error text and ordering-invariant stats
+// digest. On every point the oracle explores it also checks the probe's
+// bounds as properties: the throughput bound is at least the simulated
+// throughput, the memory bound at most the simulated worst peak, and a
+// doomed point really OOMs.
 func FuzzBnBArgmaxEquivalence(f *testing.F) {
-	f.Add(uint8(2), uint16(32), uint8(3), uint8(1), uint8(0), false)
-	f.Add(uint8(1), uint16(16), uint8(5), uint8(15), uint8(3), true)
-	f.Add(uint8(0), uint16(7), uint8(2), uint8(2), uint8(200), false)
-	f.Add(uint8(2), uint16(64), uint8(1), uint8(4), uint8(1), true)
-	f.Fuzz(func(t *testing.T, dSel uint8, gb uint16, mbsMask, schemeMask, memSel uint8, split bool) {
+	f.Add(uint8(2), uint16(32), uint8(3), uint8(1), uint8(0), false, uint8(0))
+	f.Add(uint8(1), uint16(16), uint8(5), uint8(15), uint8(3), true, uint8(0))
+	f.Add(uint8(0), uint16(7), uint8(2), uint8(2), uint8(200), false, uint8(0))
+	f.Add(uint8(2), uint16(64), uint8(1), uint8(4), uint8(1), true, uint8(0))
+	f.Add(uint8(2), uint16(31), uint8(3), uint8(49), uint8(2), false, uint8(4))
+	f.Add(uint8(1), uint16(15), uint8(3), uint8(17), uint8(0), true, uint8(1))
+	f.Fuzz(func(t *testing.T, dSel uint8, gb uint16, mbsMask, schemeMask, memSel uint8, split bool, slowSel uint8) {
 		devices := []int{2, 4, 8}[int(dSel)%3]
 		batch := 1 + int(gb)%64
 		var mbs []int
@@ -524,7 +595,8 @@ func FuzzBnBArgmaxEquivalence(f *testing.F) {
 		if len(mbs) == 0 {
 			mbs = []int{1, 2}
 		}
-		all := []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave, pipeline.SchemeGPipe}
+		all := []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave,
+			pipeline.SchemeGPipe, pipeline.SchemeZBH1, pipeline.SchemeDualPipeD}
 		var schemes []pipeline.Scheme
 		for i, s := range all {
 			if schemeMask&(1<<i) != 0 {
@@ -535,6 +607,14 @@ func FuzzBnBArgmaxEquivalence(f *testing.F) {
 		if memSel > 0 {
 			mem = cost.A100_40G.MemBytes / float64(1+int(memSel)%8)
 		}
+		var speeds []float64
+		if slowSel > 0 {
+			speeds = make([]float64, devices)
+			for i := range speeds {
+				speeds[i] = 1
+			}
+			speeds[int(slowSel-1)%devices] = 0.8
+		}
 		sp := Space{
 			Devices:      devices,
 			GlobalBatch:  batch,
@@ -542,38 +622,58 @@ func FuzzBnBArgmaxEquivalence(f *testing.F) {
 			MicroBatches: mbs,
 			DeviceMem:    mem,
 			Workers:      1,
+			DeviceSpeeds: speeds,
 		}
 		prof := &profile.Profiler{
 			Model: cost.LLaMA2_3B, HW: cost.A100_40G,
 			Spec: profile.DefaultMachine, Devices: 4, Iters: 4,
 		}
-		run := func(noPrune bool) (best string, pruned, feasible int, err error) {
-			tn := &Tuner{Prof: prof, MaxRounds: 2, SplitBackward: split}
-			s := sp
-			s.NoPrune = noPrune
-			b, _, err := tn.Search(s)
-			pruned, feasible = tn.Stats.invariant()
-			if err != nil {
-				return "", pruned, feasible, err
+		mk := func() *Tuner { return &Tuner{Prof: prof, MaxRounds: 2, SplitBackward: split} }
+
+		ref := mk()
+		orc := oracle(ref, sp)
+		want := orc.out()
+		spd := sp.withDefaults()
+		for i, c := range orc.trace {
+			nd, ok := ref.probePoint(spd, orc.points[i])
+			switch {
+			case !ok:
+				t.Fatalf("%s: explored point probes as structurally infeasible", c.Label())
+			case nd.ub < c.Throughput:
+				t.Fatalf("%s: upper bound %g below simulated throughput %g (space %+v)", c.Label(), nd.ub, c.Throughput, sp)
+			case nd.memLB > maxPeak(c):
+				t.Fatalf("%s: memory lower bound %g exceeds simulated peak %g (space %+v)", c.Label(), nd.memLB, maxPeak(c), sp)
+			case nd.doomed && !c.OOM:
+				t.Fatalf("%s: probe declared the point doomed but the simulation did not OOM (space %+v)", c.Label(), sp)
 			}
-			return candString(*b), pruned, feasible, nil
 		}
-		bBest, bP, bF, bErr := run(false)
-		gBest, gP, gF, gErr := run(true)
-		switch {
-		case (bErr == nil) != (gErr == nil):
-			t.Fatalf("error parity broken: bnb=%v grid=%v (space %+v)", bErr, gErr, sp)
-		case bErr != nil:
-			if bErr.Error() != gErr.Error() {
-				t.Fatalf("error text differs: bnb=%q grid=%q", bErr, gErr)
+
+		variants := []struct {
+			name string
+			run  func() stratOut
+		}{
+			{"workers=1", func() stratOut { return searchOut(mk(), sp) }},
+			{"workers=3", func() stratOut {
+				s := sp
+				s.Workers = 3
+				return searchOut(mk(), s)
+			}},
+			{"fleet-2-shards", func() stratOut {
+				tn := mk()
+				tn.Sharder = newHarness(sp, mk, 2, 2, 2)
+				return searchOut(tn, sp)
+			}},
+		}
+		for _, v := range variants {
+			got := v.run()
+			switch {
+			case got.err != want.err:
+				t.Fatalf("%s: error %q, oracle %q (space %+v)", v.name, got.err, want.err, sp)
+			case got.best != want.best:
+				t.Fatalf("%s: argmax differs (space %+v):\n   got: %s\noracle: %s", v.name, sp, got.best, want.best)
+			case got.pruned != want.pruned || got.feasible != want.feasible:
+				t.Fatalf("%s: invariant digest (%d,%d), oracle (%d,%d)", v.name, got.pruned, got.feasible, want.pruned, want.feasible)
 			}
-			return
-		}
-		if bBest != gBest {
-			t.Fatalf("argmax differs (space %+v):\n bnb: %s\nfull: %s", sp, bBest, gBest)
-		}
-		if bP != gP || bF != gF {
-			t.Fatalf("invariant digest differs: bnb=(%d,%d) full=(%d,%d)", bP, bF, gP, gF)
 		}
 	})
 }

@@ -4,35 +4,30 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
 
-// This file implements the fleet search strategy: the branch-and-bound
-// expansion of bnb.go distributed across a planning fleet. The coordinator
-// runs the cheap probe pass once (structural checks, memoized builds,
-// admissible bounds), sorts the feasible nodes best-first exactly like
-// searchBnB, and then dispatches waves of shard batches through a
-// ShardDispatcher — an HTTP fan-out in production (internal/serve), an
-// in-process evaluator in tests. Between waves the coordinator broadcasts
-// the global incumbent throughput so workers skip shard points the
-// incumbent already dooms.
+// This file implements the fleet outcome source: the expansion of bnb.go
+// distributed across a planning fleet. The coordinator runs the probe pass
+// once, and evalFleet dispatches the sorted nodes in waves of shard batches
+// through a ShardDispatcher — an HTTP fan-out in production
+// (internal/serve), an in-process evaluator in tests. Each wave carries the
+// global incumbent throughput so workers skip shard points the incumbent
+// already dooms.
 //
-// The strategy preserves every determinism contract of the local search:
-// the merge loop consumes outcomes in the same sorted order searchBnB
-// uses and re-applies the same decide() classification against the
-// canonical incumbent, so the best candidate, the trace, the SearchStats
-// and the synthesized span tree are byte-identical for every fleet shape
-// (workers × shards, including 1×1) and the marshaled plan is
-// byte-identical to a single-node run. Worker-side incumbent skips are
-// exact for the same reason worker skips are exact in searchBnB: a
-// broadcast incumbent is the true throughput of a candidate whose bound
-// sorts it strictly before every node it prunes, so the merge loop's own
-// incumbent always confirms the skip; the unreachable disagreement case
-// falls back to a local evaluation.
+// The outcomes feed the same merge loop a local search uses, which replays
+// decide() against the canonical incumbent, so the best candidate, the
+// trace, the SearchStats and the synthesized span tree are byte-identical
+// for every fleet shape (workers × shards, including 1×1) and the marshaled
+// plan is byte-identical to a single-node run. Worker-side skips are exact
+// for the same reason local worker skips are: a broadcast incumbent is the
+// true throughput of a candidate whose bound sorts it before every node it
+// prunes, so the merge loop's own incumbent always confirms the skip; the
+// unreachable disagreement case falls back to a local evaluation.
 
 // DefaultShardChunk is the number of sorted nodes a shard receives per
 // dispatch wave when the dispatcher does not choose its own batch size.
@@ -137,8 +132,9 @@ type FleetStats struct {
 	// Fallbacks the batches the coordinator evaluated locally after a
 	// dispatch error.
 	Dispatched, Fallbacks int
-	// RemoteExplored, RemoteSkipped and RemoteInfeasible count shard-point
-	// outcomes by status. RemoteSkipped is the incumbent-sharing payoff:
+	// RemoteExplored, RemoteSkipped and RemoteInfeasible count the
+	// outcomes workers returned, by status (a fallback batch's points are
+	// not among them). RemoteSkipped is the incumbent-sharing payoff:
 	// points a worker never simulated because the broadcast incumbent
 	// already doomed them.
 	RemoteExplored, RemoteSkipped, RemoteInfeasible int
@@ -162,14 +158,28 @@ func (t *Tuner) publishFleet(f FleetStats) {
 	t.statsMu.Unlock()
 }
 
+// addTo folds the fleet counters into the mario_search_fleet_* series.
+func (f FleetStats) addTo(m *telemetry.SearchMetrics) {
+	if m == nil {
+		return
+	}
+	m.FleetWaves.Add(int64(f.Waves))
+	m.FleetBroadcasts.Add(int64(f.Broadcasts))
+	m.FleetDispatched.Add(int64(f.Dispatched))
+	m.FleetFallbacks.Add(int64(f.Fallbacks))
+	m.FleetRemoteExplored.Add(int64(f.RemoteExplored))
+	m.FleetRemoteSkipped.Add(int64(f.RemoteSkipped))
+	m.FleetRemoteInfeasible.Add(int64(f.RemoteInfeasible))
+	m.FleetForced.Add(int64(f.Forced))
+}
+
 // EvalShard is the worker half of the fleet protocol: it evaluates one
-// dispatched batch in order, skipping points the incumbent dooms and
-// advancing a batch-local incumbent as it explores. It touches neither
-// SearchStats nor spans — outcome accounting is the coordinator's job, so
-// worker results are position-independent. The skip predicate is strictly
-// conservative (strict <, positive incumbent for doomed points), which is
-// what guarantees the coordinator's merge loop confirms every skip.
-func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint, incumbent float64, hasIncumbent bool) ([]ShardOutcome, error) {
+// dispatched batch in order, skipping points decide() prunes against the
+// incumbent and advancing a batch-local incumbent as it explores. A worker
+// knows no grid index for the incumbent, so it never prunes a bound tie. It
+// touches neither SearchStats nor spans — outcome accounting is the
+// coordinator's job, so worker results are position-independent.
+func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint, incumbentTP float64, hasIncumbent bool) ([]ShardOutcome, error) {
 	space = space.withDefaults()
 	if space.Devices <= 0 || space.GlobalBatch <= 0 {
 		return nil, fmt.Errorf("tuner: devices (%d) and global batch (%d) must be positive", space.Devices, space.GlobalBatch)
@@ -177,7 +187,10 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 	grid := enumerate(space)
 	eng := &sim.Simulator{}
 	out := make([]ShardOutcome, 0, len(points))
-	inc, hasInc := incumbent, hasIncumbent
+	var inc *incumbent
+	if hasIncumbent {
+		inc = &incumbent{tp: incumbentTP, idx: math.MaxInt}
+	}
 	for _, sp := range points {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -185,285 +198,116 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 		if sp.Idx < 0 || sp.Idx >= len(grid) {
 			return nil, fmt.Errorf("tuner: shard point index %d outside grid of %d points", sp.Idx, len(grid))
 		}
-		if hasInc && ((sp.Doomed && inc > 0) || sp.ub() < inc) {
+		nd := bnbNode{idx: sp.Idx, ub: sp.ub(), memLB: sp.MemLB, doomed: sp.Doomed}
+		if decide(nd, inc, space.NoPrune) != exploreNode {
 			out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardSkipped})
 			continue
 		}
-		pr := t.evalPoint(ctx, space, grid[sp.Idx], nil, eng, telemetry.Span{})
+		pr := t.evalPoint(ctx, space, grid[sp.Idx], eng, telemetry.Span{})
 		if pr.err != nil {
 			return nil, pr.err
 		}
-		if !pr.feasible || pr.cand == nil {
+		if pr.infeasible {
 			out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardInfeasible})
 			continue
 		}
 		out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardExplored, Cand: pr.cand})
-		if !hasInc || pr.cand.Throughput > inc {
-			inc, hasInc = pr.cand.Throughput, true
+		if inc == nil || pr.cand.Throughput > inc.tp {
+			inc = &incumbent{tp: pr.cand.Throughput, idx: math.MaxInt}
 		}
 	}
 	t.Metrics.AddSims(eng.Sims)
 	return out, nil
 }
 
-// searchFleet is the coordinator strategy. Phase 1 and 2 are searchBnB's:
-// probe every point in canonical order, sort feasible nodes best-first.
-// Phase 3 walks the sorted nodes in waves of Shards×ChunkSize: within a
-// wave, sorted position j belongs to shard j mod Shards, every non-empty
-// shard batch is dispatched concurrently with the current incumbent, and
-// the outcomes are merged back in sorted order with the same decide()
-// classification the local strategies use. Dispatch failures degrade to a
-// local evaluation of the lost batch, so the result never depends on
-// fleet health — only the FleetStats do.
-func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+// evalFleet is the fleet outcome source. It walks the sorted nodes in waves
+// of Shards×ChunkSize: within a wave, sorted position j belongs to shard
+// j mod Shards, every non-empty shard batch is dispatched concurrently with
+// the current incumbent (none under Space.NoPrune), and the outcomes are
+// handed to emit in sorted order. A failed dispatch is evaluated by the
+// local source instead, so the result never depends on fleet health — only
+// the FleetStats do.
+func (t *Tuner) evalFleet(ctx context.Context, space Space, nodes []bnbNode, inc *atomic.Pointer[incumbent], fl *FleetStats, emit func(bnbNode, pointResult) error) error {
 	d := t.Sharder
-	shards := d.Shards()
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(d.Shards(), 1)
 	chunk := d.ChunkSize()
 	if chunk < 1 {
 		chunk = DefaultShardChunk
 	}
-	// Note: no fleet-shape attribute on the search span — the span tree is
-	// byte-identical for every workers×shards shape, and the shape lives in
-	// FleetStats and the mario_search_fleet_* series instead.
-
-	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var best *Candidate
-	bestIdx := -1
-	type traceEnt struct {
-		idx int
-		c   Candidate
-	}
-	var ents []traceEnt
-	var fl FleetStats
-	eng := &sim.Simulator{} // local engine for fallback and forced evaluations
-	sims0 := eng.Sims
-	defer func() {
-		t.Metrics.AddSims(eng.Sims - sims0)
-		t.publishFleet(fl)
-	}()
-
-	// decide duplicates searchBnB's classification (it closes over this
-	// search's incumbent).
-	decide := func(nd bnbNode) int {
-		if best == nil {
-			return exploreNode
-		}
-		if nd.doomed && best.Throughput > 0 {
-			return memPruneNode
-		}
-		if nd.ub < best.Throughput || (nd.ub == best.Throughput && nd.idx > bestIdx) {
-			return boundPruneNode
-		}
-		return exploreNode
-	}
-
-	synth := func(nd bnbNode, result string) telemetry.Span {
-		ps := tracer.Detached(telemetry.PhasePoint, pointKey(nd.idx, nd.p))
-		ps.SetStr("result", result)
-		return ps
-	}
-
-	// merge folds one node's outcome into the search state, in sorted
-	// order. Decisions replay decide() against the canonical incumbent —
-	// never against worker-time state — which is what makes the result
-	// independent of the fleet shape. Explored points get a synthesized
-	// span built purely from the outcome, so the span tree is fleet-shape
-	// independent too (fleet point spans carry no build/sim children; the
-	// per-phase telemetry lives on the workers).
-	merge := func(nd bnbNode, oc ShardOutcome, ok bool) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		switch decide(nd) {
-		case memPruneNode:
-			stats.MemPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsMemPruned.Inc()
-			}
-			ps := synth(nd, "memory_pruned")
-			ps.SetFloat("mem_lb", nd.memLB)
-			ps.End()
-			ps.AttachTo(search)
-			return nil
-		case boundPruneNode:
-			stats.BoundPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsBoundPruned.Inc()
-			}
-			ps := synth(nd, "bound_pruned")
-			ps.SetFloat("ub", nd.ub)
-			ps.End()
-			ps.AttachTo(search)
-			return nil
-		}
-		var c *Candidate
-		switch {
-		case ok && oc.Status == ShardExplored && oc.Cand != nil:
-			c = oc.Cand
-		case ok && oc.Status == ShardInfeasible:
-			// The probe passed but the full evaluation failed (a graph-pass
-			// error): the local strategies count that as a structural prune,
-			// so the fleet does too.
-			t.pruneInfeasible(nd.idx, nd.p, tracer, search, stats)
-			return nil
-		default:
-			// A worker skip the incumbent cannot justify, or a missing
-			// outcome: evaluate locally so the result stays exact.
-			fl.Forced++
-			pr := t.evalPoint(ctx, space, nd.p, nil, eng, telemetry.Span{})
-			if pr.err != nil {
-				return pr.err
-			}
-			if !pr.feasible || pr.cand == nil {
-				t.pruneInfeasible(nd.idx, nd.p, tracer, search, stats)
-				return nil
-			}
-			c = pr.cand
-		}
-		stats.Explored++
-		if c.OOM {
-			stats.OOMRejected++
-		}
-		ents = append(ents, traceEnt{idx: nd.idx, c: *c})
-		improved := best == nil || c.Throughput > best.Throughput ||
-			(c.Throughput == best.Throughput && nd.idx < bestIdx)
-		if improved {
-			cc := *c
-			best = &cc
-			bestIdx = nd.idx
-			stats.Improved++
-		}
-		t.publishStats(*stats)
-		if m := t.Metrics; m != nil {
-			m.PointsExplored.Inc()
-			if c.OOM {
-				m.PointsOOM.Inc()
-			}
-			if improved {
-				m.PointsImproved.Inc()
-			}
-		}
-		ps := synth(nd, "explored")
-		if c.OOM {
-			ps.SetStr("result", "oom")
-		}
-		ps.SetFloat("throughput", c.Throughput)
-		if improved {
-			ps.SetBool("improved", true)
-		}
-		ps.End()
-		ps.AttachTo(search)
-		if t.Progress != nil {
-			t.Progress(*c, *best)
-		}
-		return nil
-	}
-
-	stride := shards * chunk
-	for start := 0; start < len(nodes); start += stride {
-		end := start + stride
-		if end > len(nodes) {
-			end = len(nodes)
-		}
+	for start := 0; start < len(nodes); start += shards * chunk {
+		wave := nodes[start:min(start+shards*chunk, len(nodes))]
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return err
 		}
-		inc, hasInc := 0.0, false
-		if best != nil {
-			inc, hasInc = best.Throughput, true
-		}
-		fl.Waves++
-		if hasInc {
+		tp, hasInc := 0.0, false
+		if cur := inc.Load(); cur != nil && !space.NoPrune {
+			tp, hasInc = cur.tp, true
 			fl.Broadcasts++
 		}
-		batches := make([][]ShardPoint, shards)
-		for j := start; j < end; j++ {
-			s := (j - start) % shards
-			batches[s] = append(batches[s], shardPointOf(nodes[j]))
+		fl.Waves++
+		batches := make([][]bnbNode, shards)
+		for j, nd := range wave {
+			batches[j%shards] = append(batches[j%shards], nd)
 		}
 		results := make([][]ShardOutcome, shards)
 		errs := make([]error, shards)
 		var wg sync.WaitGroup
-		for s := range batches {
-			if len(batches[s]) == 0 {
+		for s, batch := range batches {
+			if len(batch) == 0 {
 				continue
+			}
+			pts := make([]ShardPoint, len(batch))
+			for i, nd := range batch {
+				pts[i] = shardPointOf(nd)
 			}
 			fl.Dispatched++
 			wg.Add(1)
-			go func(s int) {
+			go func() {
 				defer wg.Done()
-				results[s], errs[s] = d.Dispatch(ctx, s, batches[s], inc, hasInc)
-			}(s)
+				results[s], errs[s] = d.Dispatch(ctx, s, pts, tp, hasInc)
+			}()
 		}
 		wg.Wait()
-		byIdx := make(map[int]ShardOutcome, end-start)
-		for s := range batches {
-			if len(batches[s]) == 0 {
+		byIdx := make(map[int]pointResult, len(wave))
+		for s, batch := range batches {
+			if len(batch) == 0 {
 				continue
 			}
-			ocs := results[s]
 			if errs[s] != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, nil, cerr
+				if err := ctx.Err(); err != nil {
+					return err
 				}
 				// The shard is lost (worker down, wire error): evaluate the
-				// batch locally with the same incumbent, so the merged result
-				// is the one a healthy fleet would have produced.
+				// batch locally, so the merged result is the one a healthy
+				// fleet would have produced.
 				fl.Fallbacks++
-				var ferr error
-				ocs, ferr = t.EvalShard(ctx, space, batches[s], inc, hasInc)
-				if ferr != nil {
-					return nil, nil, ferr
-				}
+				t.evalLocal(ctx, space, batch, inc, nil, func(nd bnbNode, pr pointResult) error {
+					byIdx[nd.idx] = pr
+					return nil
+				})
+				continue
 			}
-			for _, oc := range ocs {
+			for _, oc := range results[s] {
 				switch oc.Status {
 				case ShardExplored:
 					fl.RemoteExplored++
+					if oc.Cand != nil {
+						byIdx[oc.Idx] = pointResult{cand: oc.Cand}
+					}
 				case ShardSkipped:
 					fl.RemoteSkipped++
 				case ShardInfeasible:
 					fl.RemoteInfeasible++
+					byIdx[oc.Idx] = pointResult{infeasible: true}
 				}
-				byIdx[oc.Idx] = oc
 			}
 		}
-		t.publishFleet(fl)
-		for j := start; j < end; j++ {
-			oc, ok := byIdx[nodes[j].idx]
-			if err := merge(nodes[j], oc, ok); err != nil {
-				return nil, nil, err
+		t.publishFleet(*fl)
+		for _, nd := range wave {
+			if err := emit(nd, byIdx[nd.idx]); err != nil {
+				return err
 			}
 		}
 	}
-
-	if m := t.Metrics; m != nil {
-		m.FleetWaves.Add(int64(fl.Waves))
-		m.FleetBroadcasts.Add(int64(fl.Broadcasts))
-		m.FleetDispatched.Add(int64(fl.Dispatched))
-		m.FleetFallbacks.Add(int64(fl.Fallbacks))
-		m.FleetRemoteExplored.Add(int64(fl.RemoteExplored))
-		m.FleetRemoteSkipped.Add(int64(fl.RemoteSkipped))
-		m.FleetRemoteInfeasible.Add(int64(fl.RemoteInfeasible))
-		m.FleetForced.Add(int64(fl.Forced))
-	}
-
-	sort.Slice(ents, func(a, b int) bool { return ents[a].idx < ents[b].idx })
-	var trace []Candidate
-	if len(ents) > 0 {
-		trace = make([]Candidate, len(ents))
-		for i := range ents {
-			trace[i] = ents[i].c
-		}
-	}
-	return best, trace, nil
+	return nil
 }

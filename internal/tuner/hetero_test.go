@@ -113,8 +113,8 @@ func TestHeteroDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestHeteroBnBMatchesGridArgmax extends the strategy-equivalence contract
-// over the placement axis: branch-and-bound, the canonical grid walk and the
-// exhaustive walk agree on the best candidate and on the structural
+// over the placement axis: the search, the search under NoPrune and the
+// exhaustive oracle agree on the best candidate and on the structural
 // prune/feasible partition of the heterogeneous grid.
 func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 	cases := []struct {
@@ -146,25 +146,23 @@ func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bnb := runStrategy(tc.sp, nil)
 
-			gridSp := tc.sp
-			gridSp.NoBnB = true
-			grid := runStrategy(gridSp, nil)
+			grid := runOracle(tc.sp, nil).out()
 
 			fullSp := tc.sp
 			fullSp.NoPrune = true
 			full := runStrategy(fullSp, nil)
 
 			if bnb.err != "" || grid.err != "" || full.err != "" {
-				t.Fatalf("unexpected errors: bnb=%q grid=%q full=%q", bnb.err, grid.err, full.err)
+				t.Fatalf("unexpected errors: bnb=%q oracle=%q full=%q", bnb.err, grid.err, full.err)
 			}
 			if bnb.best != grid.best {
-				t.Errorf("bnb best differs from grid best:\n bnb: %s\ngrid: %s", bnb.best, grid.best)
+				t.Errorf("bnb best differs from oracle best:\n   bnb: %s\noracle: %s", bnb.best, grid.best)
 			}
 			if bnb.best != full.best {
 				t.Errorf("bnb best differs from exhaustive best:\n bnb: %s\nfull: %s", bnb.best, full.best)
 			}
 			if bnb.pruned != grid.pruned || bnb.feasible != grid.feasible {
-				t.Errorf("invariant digest differs bnb=(%d,%d) grid=(%d,%d)",
+				t.Errorf("invariant digest differs bnb=(%d,%d) oracle=(%d,%d)",
 					bnb.pruned, bnb.feasible, grid.pruned, grid.feasible)
 			}
 			if bnb.pruned != full.pruned || bnb.feasible != full.feasible {

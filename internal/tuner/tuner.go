@@ -6,14 +6,14 @@
 // memory score zero (the paper's OOM penalty), and a data-parallel
 // efficiency coefficient models DP scaling.
 //
-// The search fans grid points out to a bounded worker pool (Space.Workers)
-// and merges the results back in canonical iteration order, so the best
+// The search is one branch-and-bound walk (bnb.go): a cheap probe pass
+// bounds every grid point, the feasible points are expanded best-first on a
+// bounded worker pool (Space.Workers) or across a planning fleet (fleet.go),
+// and one merge loop decides every point in a fixed order, so the best
 // candidate, the trace and the SearchStats are identical for every worker
-// count. Two layers keep the grid cheap: a memoization layer shares built
-// schedules and graph-pass output across grid points (and across Search
-// calls on the same Tuner), and an admissible upper-bound prune skips the
-// simulation of points whose best-case throughput cannot beat the best
-// already merged.
+// count and fleet shape. A memoization layer shares built schedules and
+// graph-pass output across grid points (and across Search calls on the same
+// Tuner).
 package tuner
 
 import (
@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mario/internal/cost"
@@ -65,17 +64,11 @@ type Space struct {
 	// 0 means GOMAXPROCS, 1 evaluates inline with no goroutines. Results
 	// are identical for every worker count.
 	Workers int
-	// NoPrune disables the admissible upper-bound prune so every
-	// structurally feasible point is simulated — the trace then contains
-	// the full Fig. 11 curve. Benchmarks also use it to compare equal
-	// amounts of work across worker counts. NoPrune implies NoBnB.
+	// NoPrune disables the bound and memory prunes so every structurally
+	// feasible point is simulated — the trace then contains the full
+	// Fig. 11 curve. Benchmarks also use it to compare equal amounts of
+	// work across worker counts. The best candidate is the same either way.
 	NoPrune bool
-	// NoBnB falls back to the canonical-order grid walk instead of the
-	// branch-and-bound search (best-first expansion with throughput upper
-	// bounds and memory-feasibility lower bounds). Both strategies return
-	// the same best candidate; branch-and-bound typically simulates far
-	// fewer points.
-	NoBnB bool
 	// DeviceSpeeds declares the relative compute speed of each physical
 	// device (1 = nominal); nil or all-ones means a homogeneous cluster and
 	// keeps the search byte-identical to one without the field. Entries map
@@ -200,8 +193,8 @@ func (c Candidate) Label() string {
 // SearchStats counts what one Search call explored — the tuner's own
 // observability: how much of the grid was simulated, how much the memory
 // penalty rejected, and how much was skipped before simulation. All counters
-// are accumulated in canonical grid order, so they are identical for every
-// Space.Workers value.
+// are accumulated in the merge loop's deterministic order, so they are
+// identical for every Space.Workers value and fleet shape.
 type SearchStats struct {
 	// Explored counts candidates that reached the simulator (they appear
 	// in the trace).
@@ -219,21 +212,19 @@ type SearchStats struct {
 	// MemPruned counts feasible grid points whose admissible memory lower
 	// bound already exceeds Space.DeviceMem while the incumbent throughput
 	// is positive: their simulated throughput is provably zero (Equation
-	// 1's OOM penalty), so the branch-and-bound search skips their
-	// simulation. Always zero on the grid path (Space.NoPrune or
-	// Space.NoBnB).
+	// 1's OOM penalty), so the search skips their simulation. Zero when
+	// Space.NoPrune is set.
 	MemPruned int
-	// Improved counts how many times the best-so-far advanced. On the
-	// branch-and-bound path candidates arrive in bound order rather than
-	// grid order, so the count differs from the grid walk's (the final
-	// best does not).
+	// Improved counts how many times the best-so-far advanced. Candidates
+	// merge in bound order rather than grid order, so the count differs
+	// from a canonical-order walk's (the final best does not).
 	Improved int
 }
 
 // invariant reports the expansion-order-invariant digest of the stats: the
-// structural-prune count and the total number of feasible points, which every
-// search strategy (grid, branch-and-bound) partitions the same way between
-// explored and pruned. Equivalence tests compare this across strategies.
+// structural-prune count and the total number of feasible points, which the
+// search partitions the same way between explored and pruned whatever it
+// prunes. Equivalence tests compare this against the exhaustive walk.
 func (s SearchStats) invariant() (pruned, feasible int) {
 	return s.Pruned, s.Explored + s.BoundPruned + s.MemPruned
 }
@@ -267,16 +258,16 @@ type Tuner struct {
 	NoDelta bool
 	// Progress, when non-nil, is invoked after every explored candidate
 	// with that candidate and the best found so far (Fig. 11's curve,
-	// streamed). It runs on the merging goroutine in canonical grid order,
-	// regardless of Space.Workers.
+	// streamed). It runs on the merging goroutine in the merge order
+	// (best-first by bound), regardless of Space.Workers.
 	Progress func(c Candidate, best Candidate)
 	// Span, when live, parents the telemetry of every Search call: each
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
-	// child per grid point with build/bound/graph/sim children. Workers
-	// record spans speculatively, but the canonical merge loop attaches
-	// them (and trims speculative work) in canonical grid order, so the
-	// canonical trace exports are byte-identical for every Space.Workers
-	// value. The zero Span disables tracing at zero cost.
+	// child per grid point, with build/graph/sim children on the points
+	// simulated locally. Workers record spans speculatively, but the merge
+	// loop attaches or discards them, and the exports order siblings
+	// canonically, so the canonical trace exports are byte-identical for
+	// every Space.Workers value. The zero Span disables tracing at zero cost.
 	Span telemetry.Span
 	// Metrics, when non-nil, receives the search counters as registry
 	// series. The grid-outcome counters are incremented from the canonical
@@ -284,12 +275,10 @@ type Tuner struct {
 	// and simulation counts are folded in as deltas and — like CacheStats —
 	// are not deterministic under Workers > 1.
 	Metrics *telemetry.SearchMetrics
-	// Sharder, when non-nil, distributes the branch-and-bound expansion
-	// across a planning fleet (see fleet.go): the probe pass runs locally,
-	// the sorted nodes are dispatched in shard waves, and the merge replays
-	// the canonical decisions, so the plan is byte-identical to a local
-	// search. Ignored when Space.NoPrune or Space.NoBnB selects the grid
-	// walk (those strategies ship no bounds to prune against).
+	// Sharder, when non-nil, distributes the expansion across a planning
+	// fleet (see fleet.go): the probe pass runs locally, the sorted nodes
+	// are dispatched in shard waves, and the merge replays the canonical
+	// decisions, so the plan is byte-identical to a local search.
 	Sharder ShardDispatcher
 
 	// Stats describes the most recent Search call. It is updated as
@@ -345,48 +334,23 @@ type gridPoint struct {
 	pmode  place.Mode
 }
 
-// pointResult is a worker's (possibly speculative) evaluation of one grid
-// point.
+// pointResult is one (possibly speculative) outcome for a grid point. The
+// zero value is "no verdict": a skipped or lost evaluation, which the merge
+// loop re-evaluates if its own decision says the point must be explored.
 type pointResult struct {
-	// cand is nil when the point is structurally infeasible or when the
-	// worker skipped the simulation.
+	// cand is the simulated candidate, nil without a verdict.
 	cand *Candidate
-	// ub is the admissible throughput upper bound; +Inf when unknown.
-	ub float64
-	// feasible marks points that passed the structural checks.
-	feasible bool
-	// skipped marks feasible points whose simulation the worker skipped
-	// because ub could not beat the merged best at the time.
-	skipped bool
+	// infeasible marks points whose evaluation failed structurally (scheme
+	// constraints, estimator limits, a graph-pass error).
+	infeasible bool
 	// err carries a context cancellation observed while evaluating the
 	// point; the merge loop converts it into an aborted Search. Ordinary
-	// evaluation failures (scheme constraints, estimator limits) are never
-	// reported here — they stay structural infeasibilities.
+	// evaluation failures are never reported here — they stay structural
+	// infeasibilities.
 	err error
 	// span is the detached point span the evaluation recorded into; the
-	// merge loop attaches or discards it in canonical order.
+	// merge loop attaches or discards it.
 	span telemetry.Span
-}
-
-// mergedBest publishes the throughput of the best candidate merged so far to
-// the workers. It only ever grows, and it always reflects a canonical prefix
-// of the grid — the two properties that make worker-side skipping exact (see
-// evalPoint).
-type mergedBest struct {
-	bits atomic.Uint64
-	set  atomic.Bool
-}
-
-func (m *mergedBest) store(v float64) {
-	m.bits.Store(math.Float64bits(v))
-	m.set.Store(true)
-}
-
-func (m *mergedBest) load() (float64, bool) {
-	if !m.set.Load() {
-		return 0, false
-	}
-	return math.Float64frombits(m.bits.Load()), true
 }
 
 // enumerate lists the grid in canonical iteration order: scheme-major, then
@@ -413,11 +377,13 @@ func enumerate(space Space) []gridPoint {
 	return points
 }
 
-// Search enumerates the space and returns the best candidate plus the full
+// Search enumerates the space and returns the best candidate plus the
 // evaluation trace in canonical iteration order (the throughput curve of
-// Fig. 11). Grid points are evaluated by Space.Workers goroutines, but the
-// merge — best tracking, trace order, stats, Progress callbacks — happens in
-// canonical order, so the output is identical for every worker count.
+// Fig. 11 when Space.NoPrune keeps every point). The search probes every
+// grid point, expands the feasible ones best-first on Space.Workers
+// goroutines (or across Tuner.Sharder's fleet) and merges the outcomes in
+// one deterministic order, so the output is identical for every worker
+// count and fleet shape.
 //
 // Search never aborts early; use SearchContext to bound or cancel a search.
 func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
@@ -425,11 +391,11 @@ func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
 }
 
 // SearchContext is Search with cancellation: when ctx is cancelled or its
-// deadline passes, the worker pool stops evaluating grid points, the merge
-// loop unwinds, and the call returns ctx's error with no candidate and no
-// trace. A completed SearchContext is byte-identical to Search for every
-// worker count; a cancelled one publishes whatever Stats had accumulated at
-// the abort point (they describe a canonical prefix of the grid).
+// deadline passes, the workers stop evaluating grid points, the merge loop
+// unwinds, and the call returns ctx's error with no candidate and no trace.
+// A completed SearchContext is byte-identical to Search for every worker
+// count; a cancelled one publishes whatever Stats had accumulated at the
+// abort point.
 func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []Candidate, error) {
 	space = space.withDefaults()
 	if space.Devices <= 0 || space.GlobalBatch <= 0 {
@@ -443,15 +409,10 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	tracer := t.Span.Tracer()
 	search := t.Span.Child(telemetry.PhaseSearch, "")
 	search.SetInt("points", int64(len(points)))
-	bnb := !space.NoPrune && !space.NoBnB
-	fleet := bnb && t.Sharder != nil
-	switch {
-	case fleet:
+	if t.Sharder != nil {
 		search.SetStr("strategy", "fleet")
-	case bnb:
+	} else {
 		search.SetStr("strategy", "bnb")
-	default:
-		search.SetStr("strategy", "grid")
 	}
 	searchStart := time.Now()
 	buildH0, buildM0 := t.builds.hits.Load(), t.builds.misses.Load()
@@ -470,209 +431,20 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		}
 	}()
 
+	nodes, err := t.probeAll(ctx, space, points, tracer, search, &stats)
 	var best *Candidate
 	var trace []Candidate
-	var searchErr error
-	switch {
-	case fleet:
-		best, trace, searchErr = t.searchFleet(ctx, space, points, tracer, search, &stats)
-	case bnb:
-		best, trace, searchErr = t.searchBnB(ctx, space, points, tracer, search, &stats)
-	default:
-		best, trace, searchErr = t.searchGrid(ctx, space, points, tracer, search, &stats)
+	if err == nil {
+		best, trace, err = t.expand(ctx, space, nodes, tracer, search, &stats)
 	}
 	t.publishStats(stats)
-	if searchErr != nil {
-		return nil, nil, searchErr
+	if err != nil {
+		return nil, nil, err
 	}
 	if best == nil {
 		return nil, nil, fmt.Errorf("tuner: no feasible configuration in the search space")
 	}
 	return best, trace, nil
-}
-
-// searchGrid is the canonical-order grid walk: every point is evaluated (or
-// worker-skipped and confirmed pruned at merge time) in enumeration order.
-// It runs when Space.NoPrune or Space.NoBnB disables the branch-and-bound
-// strategy, and it is the reference the bnb path is differentially tested
-// against.
-func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
-	var trace []Candidate
-	var best *Candidate
-	mb := &mergedBest{}
-
-	// merge folds one point's result into the search state, in canonical
-	// order. The prune decision is made here, against the canonical
-	// best-so-far, never against worker-time state: a worker that skipped
-	// its simulation did so against an older (smaller or equal) best, so
-	// every worker skip is confirmed by this check. The point's span is
-	// attached here too — in canonical order, with speculative children a
-	// sequential search would not have recorded trimmed away — which is
-	// what makes the canonical trace worker-count independent. A non-nil
-	// return aborts the search (cancellation only).
-	merge := func(i int, p gridPoint, pr pointResult) error {
-		sp := pr.span
-		if pr.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				sp.Discard()
-				return cerr
-			}
-			// A stale cancellation from a memo entry another (cancelled)
-			// search computed: our own context is live, so re-evaluate.
-			sp.Discard()
-			pr = t.evalTraced(ctx, space, i, p, nil, nil, tracer)
-			sp = pr.span
-			if pr.err != nil {
-				sp.Discard()
-				return pr.err
-			}
-		}
-		prune := func() {
-			stats.Pruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsPruned.Inc()
-			}
-			sp.SetStr("result", "infeasible")
-			sp.AttachTo(search)
-		}
-		if !pr.feasible {
-			prune()
-			return nil
-		}
-		if best != nil && pr.ub <= best.Throughput {
-			stats.BoundPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsBoundPruned.Inc()
-			}
-			// The sequential search skips the expensive phases at the bound
-			// check, so a speculative full evaluation keeps only the
-			// build/bound prefix in the canonical trace.
-			sp.RetainChildren(telemetry.PhaseBuild, telemetry.PhaseBound)
-			sp.SetStr("result", "bound_pruned")
-			sp.AttachTo(search)
-			return nil
-		}
-		c := pr.cand
-		if c == nil {
-			// A worker skip that the canonical best cannot justify is
-			// impossible (mergedBest never exceeds the canonical
-			// best-so-far); evaluate inline as insurance so the result
-			// stays exact even if that invariant is ever broken.
-			sp.Discard()
-			forced := t.evalTraced(ctx, space, i, p, nil, nil, tracer)
-			sp = forced.span
-			if forced.err != nil {
-				sp.Discard()
-				return forced.err
-			}
-			c = forced.cand
-			if c == nil {
-				prune()
-				return nil
-			}
-		}
-		stats.Explored++
-		if c.OOM {
-			stats.OOMRejected++
-		}
-		trace = append(trace, *c)
-		improved := best == nil || c.Throughput > best.Throughput
-		if improved {
-			cc := *c
-			best = &cc
-			stats.Improved++
-			mb.store(best.Throughput)
-		}
-		t.publishStats(*stats)
-		if m := t.Metrics; m != nil {
-			m.PointsExplored.Inc()
-			if c.OOM {
-				m.PointsOOM.Inc()
-			}
-			if improved {
-				m.PointsImproved.Inc()
-			}
-		}
-		if c.OOM {
-			sp.SetStr("result", "oom")
-		} else {
-			sp.SetStr("result", "explored")
-		}
-		sp.SetFloat("throughput", c.Throughput)
-		if improved {
-			sp.SetBool("improved", true)
-		}
-		sp.AttachTo(search)
-		if t.Progress != nil {
-			t.Progress(*c, *best)
-		}
-		return nil
-	}
-
-	var searchErr error
-	if space.Workers <= 1 || len(points) <= 1 {
-		eng := &sim.Simulator{}
-		sims0 := eng.Sims
-		for i, p := range points {
-			if err := ctx.Err(); err != nil {
-				searchErr = err
-				break
-			}
-			if err := merge(i, p, t.evalTraced(ctx, space, i, p, mb, eng, tracer)); err != nil {
-				searchErr = err
-				break
-			}
-		}
-		t.Metrics.AddSims(eng.Sims - sims0)
-	} else {
-		workers := space.Workers
-		if workers > len(points) {
-			workers = len(points)
-		}
-		results := make([]pointResult, len(points))
-		ready := make([]chan struct{}, len(points))
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		jobs := make(chan int, len(points))
-		for i := range points {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng := &sim.Simulator{} // per-worker engine: a Simulator is not goroutine-safe
-				for i := range jobs {
-					if err := ctx.Err(); err != nil {
-						// Cancelled: publish the abort instead of evaluating
-						// so the merge loop can unwind. Every dequeued job
-						// still closes its ready channel — the merger must
-						// never block on a skipped point.
-						results[i] = pointResult{err: err}
-						close(ready[i])
-						continue
-					}
-					results[i] = t.evalTraced(ctx, space, i, points[i], mb, eng, tracer)
-					close(ready[i])
-				}
-				t.Metrics.AddSims(eng.Sims)
-			}()
-		}
-		for i := range points {
-			<-ready[i]
-			if searchErr == nil {
-				searchErr = merge(i, points[i], results[i])
-			}
-		}
-		wg.Wait()
-	}
-
-	return best, trace, searchErr
 }
 
 // pointKey renders a grid point's canonical span key: the zero-padded
@@ -692,8 +464,8 @@ func pointKey(i int, p gridPoint) string {
 }
 
 // buildFor memoizes (and freezes) the base schedule of a grid point; both
-// the full evaluation and the branch-and-bound probe go through it, so a
-// point is built at most once per Tuner regardless of strategy.
+// the probe and the full evaluation go through it, so a point is built at
+// most once per Tuner.
 func (t *Tuner) buildFor(space Space, p gridPoint, micros int) (*pipeline.Schedule, error) {
 	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
 	return t.builds.do(bk, func() (*pipeline.Schedule, error) {
@@ -801,12 +573,41 @@ func (t *Tuner) estimatorFor(space Space, p gridPoint, sched *pipeline.Schedule,
 	return est, asg, nil
 }
 
-// evalTraced wraps evalPoint with a detached point span that the canonical
-// merge loop later attaches (in canonical order) or discards. i is the
-// point's canonical grid index.
-func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint, mb *mergedBest, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
+// preparePoint runs the structural prefix the probe and the evaluation share:
+// the feasibility checks, the memoized schedule build (recorded as a build
+// span under sp) and the estimator fit. ok is false for structurally
+// impossible points: indivisible batch, scheme constraints (odd Chimera,
+// indivisible Interleave, …), too few layers.
+func (t *Tuner) preparePoint(space Space, p gridPoint, sp telemetry.Span) (sched *pipeline.Schedule, est *cost.Estimator, asg *place.Assignment, ok bool) {
+	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
+		return nil, nil, nil, false
+	}
+	micros := space.GlobalBatch / (p.mbs * p.dp)
+	stages := p.pp
+	if p.scheme == pipeline.SchemeInterleave {
+		stages = p.pp * space.Chunks
+	}
+	if micros < 1 || t.Prof.Model.Layers < stages {
+		return nil, nil, nil, false
+	}
+	bs := sp.Child(telemetry.PhaseBuild, "")
+	if bs.Live() {
+		bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
+	}
+	sched, err := t.buildFor(space, p, micros)
+	bs.End()
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	est, asg, err = t.estimatorFor(space, p, sched, stages)
+	return sched, est, asg, err == nil
+}
+
+// evalTraced wraps evalPoint with a detached point span that the merge loop
+// later attaches or discards. i is the point's canonical grid index.
+func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
 	sp := tracer.Detached(telemetry.PhasePoint, pointKey(i, p))
-	pr := t.evalPoint(ctx, space, p, mb, eng, sp)
+	pr := t.evalPoint(ctx, space, p, eng, sp)
 	sp.End()
 	pr.span = sp
 	return pr
@@ -814,15 +615,8 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint,
 
 // evalPoint scores a single grid point. Structurally impossible points
 // (indivisible batch, scheme constraints, too few layers) come back
-// infeasible; feasible points carry an admissible throughput upper bound and
-// — unless the bound already loses against the merged best — a fully
-// simulated candidate (zero-throughput for OOM points).
-//
-// mb may be nil to force a full evaluation. When set, the worker skips the
-// simulation if ub ≤ the merged best: the merged best only grows and is
-// always the best over a canonical prefix that the merger has not yet
-// extended past this point, so the merger's own prune check is then
-// guaranteed to discard the point too.
+// infeasible; feasible points carry a fully simulated candidate
+// (zero-throughput for OOM points).
 //
 // eng is the caller's reusable simulation engine (one per worker goroutine);
 // nil falls back to the package-level Simulate.
@@ -832,55 +626,20 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint,
 // infeasibility.
 //
 // sp is the point's telemetry span (the zero Span when tracing is off):
-// evalPoint records build/bound/graph/sim child spans under it, tagging the
+// evalPoint records build/graph/sim child spans under it, tagging the
 // memoized phases with their memo keys so Snapshot can normalize hit/miss
 // attribution into canonical order.
-func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, mb *mergedBest, eng *sim.Simulator, sp telemetry.Span) pointResult {
+func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *sim.Simulator, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
-	infeasible := pointResult{ub: math.Inf(1)}
-	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
+	infeasible := pointResult{infeasible: true}
+	sched, est, asg, ok := t.preparePoint(space, p, sp)
+	if !ok {
 		return infeasible
 	}
-	micros := space.GlobalBatch / (p.mbs * p.dp)
-	if micros < 1 {
-		return infeasible
-	}
-	stages := p.pp
-	if p.scheme == pipeline.SchemeInterleave {
-		stages = p.pp * space.Chunks
-	}
-	if t.Prof.Model.Layers < stages {
-		return infeasible
-	}
+	micros := sched.Micros
 	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
-	bs := sp.Child(telemetry.PhaseBuild, "")
-	bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
-	sched, err := t.buildFor(space, p, micros)
-	bs.End()
-	if err != nil {
-		return infeasible // scheme constraint (odd Chimera, indivisible Interleave, …)
-	}
-	est, asg, err := t.estimatorFor(space, p, sched, stages)
-	if err != nil {
-		return infeasible
-	}
-
-	out := pointResult{feasible: true, ub: math.Inf(1)}
-	if !space.NoPrune {
-		bnd := sp.Child(telemetry.PhaseBound, "")
-		out.ub = t.upperBound(sched, est, p)
-		bnd.SetFloat("ub", out.ub)
-		bnd.End()
-		if mb != nil {
-			if bb, ok := mb.load(); ok && out.ub <= bb {
-				out.skipped = true
-				return out
-			}
-		}
-	}
-
 	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoDelta: t.NoDelta}
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: micros,
 		PlaceMode: p.pmode, Place: asg}
@@ -952,53 +711,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, mb *mer
 	} else {
 		cand.Throughput = res.SamplesPerSec * t.dpEff(p.dp)
 	}
-	out.cand = cand
-	return out
-}
-
-// upperBound returns an admissible estimate of the point's throughput: the
-// samples per iteration divided by a lower bound on the makespan, times the
-// DP efficiency. The makespan bound is the busiest device's serial
-// forward+backward compute time in the freshly built schedule; split-base
-// schemes (ZB-H1, DualPipe-D) contribute their BackwardInput and
-// BackwardWeight halves at exactly the simulator's durations. Every
-// transformation the tuner may later apply — checkpoint passes (which add
-// recomputes), prepose (which reorders), split backward (which splits one
-// backward into two whose durations sum to at least the original) — only
-// adds or reorders device work, and the simulator never finishes a device
-// before its serial compute sum, so the true simulated throughput of this
-// point can never exceed the bound.
-func (t *Tuner) upperBound(sched *pipeline.Schedule, est *cost.Estimator, p gridPoint) float64 {
-	var lb float64
-	for d, list := range sched.Lists {
-		// Per-rank compute scaling: SlowOf is exactly 1 on homogeneous
-		// estimators (bit-exact multiplication), and on heterogeneous ones
-		// the scaled terms match the simulator's durations bit-for-bit
-		// (sim.ComputeBase uses the same expressions), keeping the bound
-		// admissible.
-		slow := est.SlowOf(d)
-		var busy float64
-		for _, in := range list {
-			switch in.Kind {
-			case pipeline.Forward, pipeline.CkptForward:
-				busy += est.LaunchOverhead + est.FwTime[in.Stage]*slow
-			case pipeline.Backward:
-				busy += est.LaunchOverhead + est.BwTime[in.Stage]*slow
-			case pipeline.BackwardInput:
-				busy += est.LaunchOverhead + est.BwTime[in.Stage]*est.BwSplitRatio*slow
-			case pipeline.BackwardWeight:
-				busy += est.LaunchOverhead + est.BwTime[in.Stage]*(1-est.BwSplitRatio)*slow
-			}
-		}
-		if busy > lb {
-			lb = busy
-		}
-	}
-	if lb <= 0 {
-		return math.Inf(1)
-	}
-	samples := float64(sched.Micros * p.mbs * p.dp)
-	return samples / lb * t.dpEff(p.dp)
+	return pointResult{cand: cand}
 }
 
 // Rank returns the trace sorted by descending throughput (stable on labels

@@ -90,8 +90,8 @@ type Config struct {
 	Hardware *cost.Hardware
 	// Progress, when non-nil, is invoked after every tuner candidate with
 	// the number of candidates explored so far and the best configuration
-	// found (its Label and estimated throughput). Callbacks arrive in
-	// canonical grid order regardless of Workers.
+	// found (its Label and estimated throughput). Callbacks arrive in the
+	// search's deterministic merge order regardless of Workers.
 	Progress func(explored int, bestLabel string, bestThroughput float64)
 	// Workers bounds the number of concurrent tuner evaluations; 0 means
 	// GOMAXPROCS, 1 searches sequentially. The chosen plan, trace and
@@ -102,14 +102,10 @@ type Config struct {
 	// loop inline (the default — the outer Workers already parallelise the
 	// search). The plan is identical for every value.
 	GraphWorkers int
-	// NoPrune disables the tuner's admissible upper-bound prune so every
-	// feasible configuration is simulated and appears in the trace.
+	// NoPrune disables the tuner's admissible bound and memory prunes so
+	// every feasible configuration is simulated and appears in the trace.
+	// The best plan is byte-identical either way.
 	NoPrune bool
-	// NoBnB falls back to the canonical-order grid walk instead of the
-	// branch-and-bound search. Both strategies return the byte-identical
-	// best plan; branch-and-bound typically simulates far fewer grid points,
-	// so the trace and the search stats differ. Implied by NoPrune.
-	NoBnB bool
 	// NoDelta disables delta re-simulation inside the graph passes: every
 	// candidate re-sim runs the full fixpoint instead of recomputing only
 	// the dirty cone. The plan is bit-identical either way; this is an
@@ -128,8 +124,7 @@ type Config struct {
 	// across a planning fleet (tuner.ShardDispatcher): the probe pass runs
 	// locally and the sorted grid points are dispatched in shard waves with
 	// incumbent-bound sharing. The plan is byte-identical to a local search
-	// for every fleet shape. Ignored when NoPrune/NoBnB selects the grid
-	// walk.
+	// for every fleet shape.
 	Sharder tuner.ShardDispatcher
 }
 
@@ -318,7 +313,6 @@ func searchSetup(conf Config, model ModelConfig) (*tuner.Tuner, tuner.Space, flo
 		DeviceMem:    memLimit,
 		Workers:      conf.Workers,
 		NoPrune:      conf.NoPrune,
-		NoBnB:        conf.NoBnB,
 		DeviceSpeeds: conf.DeviceSpeeds,
 		Placement:    pmode,
 	}
