@@ -26,7 +26,7 @@ bench:
 # BENCHTIME iterations to average out noise; the full grid search is seconds
 # per op, so it runs once.
 BENCHTIME ?= 100x
-BENCH_MICRO = BenchmarkGraphOptimize$$|BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChimera|BenchmarkDeltaSim|BenchmarkTelemetry
+BENCH_MICRO = BenchmarkGraphOptimize$$|BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChimera|BenchmarkTelemetry
 bench-json:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_MICRO)' \
 		-benchtime $(BENCHTIME) -benchmem . ; \
@@ -39,10 +39,10 @@ bench-json:
 # locally before regenerating the baseline.
 GATEPCT ?= 15
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkGraphOptimize$$|BenchmarkSimulateReuse|BenchmarkDeltaSim' \
+	$(GO) test -run '^$$' -bench 'BenchmarkGraphOptimize$$|BenchmarkSimulateReuse' \
 		-benchtime $(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchjson -gate $(GATEPCT) -baseline BENCH_sim.json \
-			-only BenchmarkGraphOptimize,BenchmarkSimulateReuse,BenchmarkDeltaSim
+			-only BenchmarkGraphOptimize,BenchmarkSimulateReuse
 
 # Service-layer latency artifact: the mariod request path (cache hit, fresh
 # run, traced run, /metrics scrape) against an instant run stub, so the
@@ -59,7 +59,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSchemeBuild -fuzztime $(FUZZTIME) ./internal/scheme
 	$(GO) test -run '^$$' -fuzz FuzzGraphPassInvariants -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzDeltaSimEquivalence -fuzztime $(FUZZTIME) ./internal/sim/difftest
+	$(GO) test -run '^$$' -fuzz FuzzEngineReuseEquivalence -fuzztime $(FUZZTIME) ./internal/sim/difftest
 	$(GO) test -run '^$$' -fuzz FuzzBnBArgmaxEquivalence -fuzztime $(FUZZTIME) ./internal/tuner
 
 # Doc-comment lint for the packages whose contracts must live in the source:

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mario -model GPT3-13B -devices 32 -gbs 128 -mem 40G [-scheme Auto]
-//	      [-tp 1] [-workers 0] [-no-prune] [-no-delta]
+//	      [-tp 1] [-workers 0] [-no-prune]
 //	      [-run 3] [-viz] [-svg out.svg]
 //	      [-trace out.json] [-trace-measured out.json] [-events out.jsonl]
 //	      [-search-trace out.json] [-search-spans out.jsonl]
@@ -57,9 +57,7 @@ func main() {
 		schemeStr = flag.String("scheme", "Auto", "pipeline scheme: Auto, V/1F1B, X/Chimera, W/Interleave, GPipe, Z/ZB-H1, D/DualPipe-D")
 		tp        = flag.Int("tp", 1, "tensor-parallel degree (held constant)")
 		workers   = flag.Int("workers", 0, "concurrent tuner evaluations (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		gWorkers  = flag.Int("graph-workers", 0, "concurrent prepose-candidate simulations inside each graph-tuner call (0/1 = inline; results are identical)")
 		noPrune   = flag.Bool("no-prune", false, "disable the tuner's bound and memory prunes (simulate every feasible configuration)")
-		noDelta   = flag.Bool("no-delta", false, "disable delta re-simulation in the graph passes (same plan, full fixpoint per candidate)")
 		split     = flag.Bool("split", false, "also try ZB-H1 split-backward on checkpointed candidates")
 		runIters  = flag.Int("run", 0, "execute the winning schedule for N iterations on the emulated cluster")
 		showViz   = flag.Bool("viz", false, "print the winning schedule's timeline as ASCII")
@@ -169,7 +167,6 @@ func main() {
 			TP:            *tp,
 			SplitBackward: *split,
 			NoPrune:       *noPrune,
-			NoDelta:       *noDelta,
 			Workers:       *workers,
 			DeviceSpeeds:  deviceSpeeds,
 			Placement:     *placementArg,
@@ -184,9 +181,7 @@ func main() {
 			TP:              *tp,
 			SplitBackward:   *split,
 			Workers:         *workers,
-			GraphWorkers:    *gWorkers,
 			NoPrune:         *noPrune,
-			NoDelta:         *noDelta,
 			DeviceSpeeds:    deviceSpeeds,
 			Placement:       *placementArg,
 		}

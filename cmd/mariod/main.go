@@ -65,7 +65,6 @@ func main() {
 		timeout      = flag.Duration("timeout", 5*time.Minute, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 15*time.Minute, "ceiling for request-supplied deadlines")
 		tunerWorkers = flag.Int("tuner-workers", 0, "cap on per-run tuner parallelism (0 = uncapped)")
-		noDelta      = flag.Bool("no-delta", false, "force full-fixpoint re-simulation on every run (plans are identical; escape hatch)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight plans")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener with pprof + /debug/flight + /metrics (keep loopback-only)")
 		flightRing   = flag.Int("flight-ring", 64, "recent request traces the flight recorder keeps")
@@ -77,7 +76,6 @@ func main() {
 		shardChunk   = flag.Int("shard-chunk", 0, "grid points per shard batch (0 = tuner default)")
 		fleetRetries = flag.Int("fleet-retries", 2, "retries for fleet-internal requests (shard dispatch, routing)")
 		fleetBackoff = flag.Duration("fleet-backoff", 50*time.Millisecond, "base backoff between fleet-internal retries")
-		noShare      = flag.Bool("no-share-incumbent", false, "do not ship the global incumbent with shard batches (workers skip less; plans identical)")
 		workerCache  = flag.Int("worker-cache", 0, "shard-worker cache size, workloads memoized for /v1/shard (0 = default)")
 		selfcheck    = flag.Bool("selfcheck", false, "start on loopback, exercise the service end to end, then shut down")
 		fleetCheck   = flag.Bool("fleet-selfcheck", false, "boot a loopback 3-member fleet, prove byte-identity + peer caching + a loadgen burst, then drain")
@@ -91,24 +89,22 @@ func main() {
 		}
 	}
 	opts := serve.Options{
-		CacheSize:        *cacheSize,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		TunerWorkers:     *tunerWorkers,
-		NoDelta:          *noDelta,
-		FlightRing:       *flightRing,
-		FlightSlow:       *flightSlow,
-		MaxBodyBytes:     *maxBody,
-		Fleet:            fleet,
-		Self:             *self,
-		Shards:           *shards,
-		ShardChunk:       *shardChunk,
-		FleetRetries:     *fleetRetries,
-		FleetBackoff:     *fleetBackoff,
-		NoShareIncumbent: *noShare,
-		WorkerCache:      *workerCache,
+		CacheSize:      *cacheSize,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		TunerWorkers:   *tunerWorkers,
+		FlightRing:     *flightRing,
+		FlightSlow:     *flightSlow,
+		MaxBodyBytes:   *maxBody,
+		Fleet:          fleet,
+		Self:           *self,
+		Shards:         *shards,
+		ShardChunk:     *shardChunk,
+		FleetRetries:   *fleetRetries,
+		FleetBackoff:   *fleetBackoff,
+		WorkerCache:    *workerCache,
 	}
 
 	if *selfcheck {
@@ -349,7 +345,7 @@ func runSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 	// The second concurrent stream either shared the first one's flight
 	// (singleflight collapse) or — small tuner runs finish in milliseconds
-	// with the delta engine and branch-and-bound — arrived after completion
+	// with branch-and-bound — arrived after completion
 	// and was answered from the cache. Both are correct, so the expected hit
 	// count derives from the observed responses: the explicit repeat request
 	// plus any concurrent stream that reported cached.

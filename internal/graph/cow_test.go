@@ -3,6 +3,7 @@ package graph
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"mario/internal/cost"
@@ -84,50 +85,49 @@ func TestOptimizeInputUnmodified(t *testing.T) {
 
 // TestListPoolSafety pins the candidate-buffer recycling contract: endRound
 // must never recycle a list that is part of the current schedule, and after
-// it recycles a retired list no engine may still key a cache entry on that
-// buffer (Simulator.Holds must be false), so the next getList can hand the
-// buffer out without aliasing a cached identity. Re-simulating the current
-// schedule afterwards must still agree bit-for-bit with a fresh simulation.
+// it recycles a retired list the engine may no longer key a cache entry on
+// that buffer (Simulator.Holds must be false), so the next getList can hand
+// the buffer out without aliasing a cached identity. Re-simulating the
+// current schedule afterwards must still agree bit-for-bit with a fresh
+// simulation.
 func TestListPoolSafety(t *testing.T) {
 	s := build1f1b(t, 4, 8)
 	ApplyCheckpoint(s)
 	e := cost.Uniform(4, 1, 2, 0.25)
 	opts := sim.Options{NoTimeline: true}
-	eng := newEngines(2)
+	eng := newEngines()
 
-	// Candidate on device 0, simulated on both engines so both cache it.
+	// Candidate on device 0, simulated so the engine caches it.
 	c := s.Clone()
 	if !preposeList(eng, c, 0) {
 		t.Fatal("no group to prepose on device 0")
 	}
 	cl := c.Lists[0]
-	for _, m := range []*sim.Simulator{eng.main, eng.pool[0]} {
-		if _, err := m.Simulate(c, e, opts); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := eng.main.Simulate(c, e, opts); err != nil {
+		t.Fatal(err)
 	}
-	if !eng.main.Holds(0, cl) || !eng.pool[0].Holds(0, cl) {
-		t.Fatal("engines should cache the candidate list before endRound")
+	if !eng.main.Holds(0, cl) {
+		t.Fatal("engine should cache the candidate list before endRound")
 	}
 
 	// The candidate lost: cur stays s, so endRound must recycle its list and
-	// evict it from every engine.
+	// evict it from the engine.
 	eng.endRound(s)
 	if len(eng.free) != 1 || len(eng.tracked) != 0 {
 		t.Fatalf("after losing round: free=%d tracked=%d, want 1 and 0", len(eng.free), len(eng.tracked))
 	}
-	if eng.main.Holds(0, cl) || eng.pool[0].Holds(0, cl) {
-		t.Error("engines still hold the recycled list")
+	if eng.main.Holds(0, cl) {
+		t.Error("engine still holds the recycled list")
 	}
 	buf := eng.getList(len(cl))
 	if len(cl) == 0 || &buf[:1][0] != &cl[:1][0] {
 		t.Error("getList did not hand back the recycled buffer")
 	}
 	// Reuse is the hazard the Holds protocol guards against: overwrite the
-	// recycled buffer with unrelated content. Every cache class that keys on
-	// it by identity — the active entry, the depth-2 revert snapshot, the
-	// delta snapshot, and the pinned base fixpoint — must already have
-	// dropped it, or the bit-for-bit re-simulations below read this garbage.
+	// recycled buffer with unrelated content. Every cache entry that keys on
+	// it by identity — the active entry and the depth-2 revert snapshot —
+	// must already have dropped it, or the bit-for-bit re-simulation below
+	// reads this garbage.
 	buf = buf[:cap(buf)]
 	for i := range buf {
 		buf[i] = pipeline.Instr{Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro}
@@ -150,20 +150,20 @@ func TestListPoolSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range []*sim.Simulator{eng.main, eng.pool[0]} {
-		got, err := m.Simulate(w, e, opts)
-		if err != nil {
-			t.Fatalf("engine %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("engine %d: post-eviction result differs from fresh simulation (%.17g vs %.17g)", i, got.Total, want.Total)
-		}
+	got, err := eng.main.Simulate(w, e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("post-eviction result differs from fresh simulation (%.17g vs %.17g)", got.Total, want.Total)
 	}
 }
 
-// TestOptimizeWorkerDeterminism: the parallel prepose sweep must return a
-// byte-identical schedule and a bit-identical simulation result for every
-// worker count. Run under -race this also proves the candidate fan-out and
+// TestOptimizeWorkerDeterminism: the tuner's workers call Optimize
+// concurrently on frozen (memoized) schedules, each drawing a warm engine
+// bundle from the shared pool. Every call must return a byte-identical
+// schedule and a bit-identical simulation result for every number of
+// concurrent callers. Run under -race this also proves the engine pool and
 // the copy-on-write share marks are data-race free.
 func TestOptimizeWorkerDeterminism(t *testing.T) {
 	cases := []struct {
@@ -182,30 +182,45 @@ func TestOptimizeWorkerDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.Freeze()
 			e := cost.Uniform(tc.stages, 1, 2, 0.25)
 			opts := Options{Estimator: e, Sim: sim.Options{NoTimeline: true}}
 
 			type out struct {
 				sched string
 				res   *sim.Result
+				err   error
 			}
-			var base *out
-			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				opts.Workers = w
-				optSched, res, err := Optimize(s, opts)
-				if err != nil {
-					t.Fatalf("Workers=%d: %v", w, err)
+			base, res, err := Optimize(s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := out{sched: base.String(), res: res}
+			for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+				outs := make([]out, w)
+				var wg sync.WaitGroup
+				for i := range outs {
+					wg.Add(1)
+					go func(o *out) {
+						defer wg.Done()
+						optSched, res, err := Optimize(s, opts)
+						if err == nil {
+							o.sched, o.res = optSched.String(), res
+						}
+						o.err = err
+					}(&outs[i])
 				}
-				cur := &out{sched: optSched.String(), res: res}
-				if base == nil {
-					base = cur
-					continue
-				}
-				if cur.sched != base.sched {
-					t.Errorf("Workers=%d: schedule differs from Workers=1", w)
-				}
-				if !reflect.DeepEqual(cur.res, base.res) {
-					t.Errorf("Workers=%d: result differs from Workers=1 (%.17g vs %.17g)", w, cur.res.Total, base.res.Total)
+				wg.Wait()
+				for i, got := range outs {
+					if got.err != nil {
+						t.Fatalf("callers=%d #%d: %v", w, i, got.err)
+					}
+					if got.sched != want.sched {
+						t.Errorf("callers=%d #%d: schedule differs from a lone call", w, i)
+					}
+					if !reflect.DeepEqual(got.res, want.res) {
+						t.Errorf("callers=%d #%d: result differs from a lone call (%.17g vs %.17g)", w, i, got.res.Total, want.res.Total)
+					}
 				}
 			}
 		})

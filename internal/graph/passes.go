@@ -195,11 +195,6 @@ type Options struct {
 	MaxPrepose int
 	// MaxRounds bounds the iterative pass applications; zero means 16.
 	MaxRounds int
-	// Workers bounds the goroutines simulating prepose candidates
-	// concurrently; 0 or 1 evaluates inline. The winner is selected in
-	// canonical device order, so the optimized schedule is byte-identical
-	// for every worker count.
-	Workers int
 	// Span, when live, parents the run's telemetry: OptimizeContext records
 	// one PhaseRound child per simulator-guided prepose round, with
 	// deterministic attributes (moves, improvement, makespan). The zero
@@ -221,7 +216,7 @@ func Optimize(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.Resul
 // always run, but the simulator-guided prepose rounds — the expensive part —
 // check ctx between rounds and between candidate simulations, and a
 // cancelled context aborts the call with ctx's error. A completed
-// OptimizeContext is byte-identical to Optimize for every worker count.
+// OptimizeContext is byte-identical to Optimize.
 func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.Result, error) {
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: Optimize requires an estimator")
@@ -234,7 +229,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	// versa; they are cheap, so run them to a (two-round) fixpoint before
 	// the guided pass.
 	OverlapRecompute(cur)
-	eng := acquireEngines(opt.Workers)
+	eng := acquireEngines()
 	defer eng.release()
 	defer func() { opt.Metrics.AddSims(eng.sims()) }()
 	// Candidate acceptance only compares makespans and peaks, so the inner
@@ -287,20 +282,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			break
 		}
 		cur, best = next, nextRes
-		// Re-base the main engine's delta snapshot onto the accepted
-		// schedule (candidate probes left it keyed on the previous base), so
-		// the next round's probes diff against it. When the winner was the
-		// main engine's own last probe — the common case — Commit adopts its
-		// already-computed clocks for free; otherwise one adopting delta sim
-		// re-derives them.
-		if !eng.main.Commit(cur) {
-			if _, err := eng.main.Simulate(cur, opt.Estimator, inner.Sim); err != nil {
-				return nil, nil, fmt.Errorf("graph: re-basing accepted schedule: %w", err)
-			}
-		}
-		// Recycle list buffers of candidates this round retired; lists an
-		// engine still keys on stay out of the pool until pushed out of its
-		// depth-2 cache by later rebuilds.
+		// Recycle list buffers of candidates this round retired.
 		eng.endRound(cur)
 	}
 	if err := pipeline.Validate(cur); err != nil {

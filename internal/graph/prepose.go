@@ -4,40 +4,35 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"mario/internal/pipeline"
 	"mario/internal/sim"
 )
 
-// engines bundles the reusable Simulators an Optimize run evaluates its
-// candidates on: main is used by the sequential driver, pool by the
-// prepose-round worker goroutines. Reusing the engines across rounds is what
-// makes candidate evaluation allocation-free — each candidate shares all but
-// one list with the current schedule, so only that device's metadata is
-// rebuilt.
+// engines bundles the reusable Simulator an Optimize run evaluates its
+// candidates on with the run's candidate-list buffers. Reusing the engine
+// across rounds is what makes candidate evaluation allocation-free — each
+// candidate shares all but one list with the current schedule, so only that
+// device's metadata is rebuilt.
 type engines struct {
 	main *sim.Simulator
-	pool []*sim.Simulator
 
 	// Candidate-list buffer pool. Lists built for losing candidates are
-	// recycled once no engine still caches their identity (Simulator.Holds)
-	// and they are not part of the current schedule; tracked remembers which
-	// device each created list was set on, since an engine only ever caches a
-	// list under that device's slot.
+	// recycled once the engine no longer caches their identity
+	// (Simulator.Holds) and they are not part of the current schedule;
+	// tracked remembers which device each created list was set on, since the
+	// engine only ever caches a list under that device's slot.
 	free    [][]pipeline.Instr
 	tracked []trackedList
 
-	// sims0 is the simsTotal() baseline taken at acquire time; sims()
-	// subtracts it so pooled reuse never double-counts telemetry.
+	// sims0 is main.Sims at acquire time; sims() subtracts it so pooled
+	// reuse never double-counts telemetry.
 	sims0 int64
 
 	feas feasScratch
 }
 
-// feasScratch is the reusable state of engines.feasible. Candidates are
-// constructed and screened on the driver goroutine before any worker fan-out,
-// so one scratch per bundle suffices.
+// feasScratch is the reusable state of engines.feasible.
 type feasScratch struct {
 	sendKeys [][]pipeline.Key // per link: keys of its sends, in push order
 	recvOrd  []int32          // per link: receives popped so far
@@ -245,56 +240,35 @@ type trackedList struct {
 	list []pipeline.Instr
 }
 
-func newEngines(workers int) *engines {
-	e := &engines{main: &sim.Simulator{}}
-	for i := 1; i < workers; i++ {
-		e.pool = append(e.pool, &sim.Simulator{})
-	}
-	return e
+func newEngines() *engines {
+	return &engines{main: &sim.Simulator{}}
 }
 
 // engPool recycles engine bundles across Optimize calls so a tuner sweeping
 // hundreds of grid points reuses warm simulator buffers instead of
-// reallocating them per point. Identity caches are dropped on release
-// (Simulator.Invalidate) because the previous run's result schedule owns
-// lists the engines still key on; only capacity survives.
-var engPool = sync.Pool{New: func() any { return newEngines(1) }}
+// reallocating them per point.
+var engPool = sync.Pool{New: func() any { return newEngines() }}
 
-// acquireEngines returns a bundle sized for the requested worker count, with
-// per-run counters rebased so sims() reports this run's simulations only.
-func acquireEngines(workers int) *engines {
+// acquireEngines returns a pooled bundle with its counter rebased so sims()
+// reports this run's simulations only.
+func acquireEngines() *engines {
 	e := engPool.Get().(*engines)
-	for len(e.pool) < workers-1 {
-		e.pool = append(e.pool, &sim.Simulator{})
-	}
-	if len(e.pool) > workers-1 && workers >= 1 {
-		for i := workers - 1; i < len(e.pool); i++ {
-			e.pool[i] = nil
-		}
-		e.pool = e.pool[:workers-1]
-	}
-	e.sims0 = e.simsTotal()
+	e.sims0 = e.main.Sims
 	return e
 }
 
 // release returns the bundle to the pool. Result lists escape to the caller,
 // so tracked entries are dropped without recycling their buffers (free-list
-// buffers never appear in a result and stay pooled), and every engine
-// forgets its cached identities.
+// buffers never appear in a result and stay pooled).
 func (e *engines) release() {
 	for i := range e.tracked {
 		e.tracked[i] = trackedList{}
 	}
 	e.tracked = e.tracked[:0]
-	// The main engine re-keys its caches onto owned copies: a pooled bundle
-	// often sees a near-identical schedule next (tuner grid neighbours), so
-	// its warm metadata and delta snapshot keep paying off. Worker engines
-	// only ever simulate scan candidates whose buffers are recycled below —
-	// their identities are worthless and are dropped outright.
+	// The engine re-keys its caches onto owned copies: a pooled bundle often
+	// sees a near-identical schedule next (tuner grid neighbours), so its
+	// warm metadata keeps paying off.
 	e.main.Detach()
-	for _, m := range e.pool {
-		m.Invalidate()
-	}
 	engPool.Put(e)
 }
 
@@ -329,12 +303,7 @@ func (e *engines) endRound(cur *pipeline.Schedule) {
 			kept = append(kept, t)
 			continue
 		}
-		if e.cached(t.dev, t.list) {
-			e.main.Forget(t.dev, t.list)
-			for _, m := range e.pool {
-				m.Forget(t.dev, t.list)
-			}
-		}
+		e.main.Forget(t.dev, t.list)
 		e.free = append(e.free, t.list)
 	}
 	for i := len(kept); i < len(e.tracked); i++ {
@@ -343,36 +312,14 @@ func (e *engines) endRound(cur *pipeline.Schedule) {
 	e.tracked = kept
 }
 
-func (e *engines) cached(dev int, list []pipeline.Instr) bool {
-	if e.main.Holds(dev, list) {
-		return true
-	}
-	for _, m := range e.pool {
-		if m.Holds(dev, list) {
-			return true
-		}
-	}
-	return false
-}
-
 func sameList(a, b []pipeline.Instr) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
-// simsTotal sums the lifetime Simulate-call counters across the bundle's
-// engines (monotone across pooled reuse).
-func (e *engines) simsTotal() int64 {
-	n := e.main.Sims
-	for _, m := range e.pool {
-		n += m.Sims
-	}
-	return n
 }
 
 // sims reports the Simulate calls issued since this bundle was acquired; the
 // driver folds the total into the telemetry registry.
 func (e *engines) sims() int64 {
-	return e.simsTotal() - e.sims0
+	return e.main.Sims - e.sims0
 }
 
 // A forward group is the contiguous [RecvAct?, CkptForward, SendAct?] run of
@@ -663,25 +610,14 @@ func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (*sim.R
 // preposeRound evaluates one greedy round of pass 4: preposing one group on
 // each single device, preposing one group on all devices at once (to enable
 // cascaded moves none of which helps alone), and promoting buffered sends.
-// The best strictly-improving, non-OOM candidate wins. budget bounds the
-// number of group moves this round may perform (negative = unlimited); the
-// round reports how many it used.
+// The best strictly-improving, non-OOM candidate wins; candidates are
+// scanned in a fixed order and an exact makespan tie goes to the earlier
+// one. budget bounds the number of group moves this round may perform
+// (negative = unlimited); the round reports how many it used.
 //
-// The per-device candidates are simulated concurrently when the engines carry
-// a worker pool. The winner is still chosen by scanning the results in
-// ascending device order with a strict-improvement comparison — exactly the
-// sequential selection — so the outcome is byte-identical for every worker
-// count (the determinism-first contract the outer tuner grid established).
-//
-// ctx is checked before each candidate simulation (including by the worker
-// goroutines); a cancelled round returns ctx's error.
+// ctx is checked before each candidate simulation; a cancelled round returns
+// ctx's error.
 func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, budget int, eng *engines) (*pipeline.Schedule, *sim.Result, int, error) {
-	// Candidate evaluations are throwaway probes: each diffs against the
-	// engine's accepted baseline instead of re-keying the delta snapshot on
-	// every try-then-revert mutation (opt is a by-value copy; the caller's
-	// options are unchanged). OptimizeContext re-bases the baseline when a
-	// round's winner is accepted.
-	opt.Sim.Probe = true
 	type cand struct {
 		s     *pipeline.Schedule
 		r     *sim.Result
@@ -690,26 +626,24 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 	var winner *cand
 
 	const eps = 1e-12
-	consider := func(c *pipeline.Schedule, r *sim.Result, moves int) {
-		if r != nil && r.Total < best.Total-eps && (winner == nil || r.Total < winner.r.Total) {
-			winner = &cand{s: c, r: r, moves: moves}
-		}
-	}
-
-	// The buffered-send promotion candidate goes first so the composite —
-	// the usual winner — is the main engine's most recent probe when the
-	// round ends, letting OptimizeContext adopt its clocks with Commit
-	// instead of an extra re-basing simulation. (Order only matters on exact
-	// makespan ties: the earlier candidate wins them.)
-	if c, ok := promoteBufferedSends(cur); ok {
+	try := func(c *pipeline.Schedule, moves int) error {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
+			return err
 		}
 		r, err := simCandidate(eng.main, c, opt)
 		if err != nil {
+			return err
+		}
+		if r != nil && r.Total < best.Total-eps && (winner == nil || r.Total < winner.r.Total) {
+			winner = &cand{s: c, r: r, moves: moves}
+		}
+		return nil
+	}
+
+	if c, ok := promoteBufferedSends(cur); ok {
+		if err := try(c, 0); err != nil {
 			return nil, nil, 0, err
 		}
-		consider(c, r, 0)
 	}
 	// Composite candidate — one prepose on every device — because the
 	// cascaded move is both the usual winner and a single simulation. Only
@@ -733,73 +667,20 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		}
 	}
 	if moves > 0 && eng.feasible(comp) {
-		if err := ctx.Err(); err != nil {
+		if err := try(comp, moves); err != nil {
 			return nil, nil, 0, err
 		}
-		r, err := simCandidate(eng.main, comp, opt)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		consider(comp, r, moves)
 	}
 	if winner == nil && (budget < 0 || budget >= 1) {
-		D := cur.NumDevices()
-		// Build every candidate on this goroutine — candidate construction
-		// Clones cur, and concurrent first Clones of the same schedule would
-		// race on its share marks — then fan the simulations out.
-		cands := make([]*pipeline.Schedule, D)
-		jobs := make([]int, 0, D)
-		for d := 0; d < D; d++ {
+		for d := 0; d < cur.NumDevices(); d++ {
 			if !canPrepose(cur.Lists[d]) || preposeReorders(cur, d) || preposeBlocked(cur, d) {
 				continue
 			}
 			c := cur.Clone()
 			preposeList(eng, c, d)
-			cands[d] = c
-			jobs = append(jobs, d)
-		}
-		results := make([]*sim.Result, D)
-		errs := make([]error, D)
-		if w := min(len(eng.pool), len(jobs)-1); w > 0 {
-			var next atomic.Int64
-			run := func(e *sim.Simulator) {
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= len(jobs) {
-						return
-					}
-					d := jobs[j]
-					if err := ctx.Err(); err != nil {
-						errs[d] = err
-						continue
-					}
-					results[d], errs[d] = simCandidate(e, cands[d], opt)
-				}
+			if err := try(c, 1); err != nil {
+				return nil, nil, 0, err
 			}
-			var wg sync.WaitGroup
-			for i := 0; i < w; i++ {
-				wg.Add(1)
-				go func(e *sim.Simulator) {
-					defer wg.Done()
-					run(e)
-				}(eng.pool[i])
-			}
-			run(eng.main)
-			wg.Wait()
-		} else {
-			for _, d := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[d] = err
-					break
-				}
-				results[d], errs[d] = simCandidate(eng.main, cands[d], opt)
-			}
-		}
-		for d := 0; d < D; d++ {
-			if errs[d] != nil {
-				return nil, nil, 0, errs[d]
-			}
-			consider(cands[d], results[d], 1)
 		}
 	}
 	if winner == nil {

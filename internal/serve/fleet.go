@@ -98,7 +98,6 @@ type fleetState struct {
 	ring    *hashRing // nil unless Self is set
 	shards  int
 	chunk   int
-	noShare bool
 
 	mu      sync.Mutex
 	workers map[string]*workerEntry // fingerprint → shard worker (LRU)
@@ -123,7 +122,6 @@ func newFleetState(opts Options) *fleetState {
 		cap:     opts.WorkerCache,
 		shards:  opts.Shards,
 		chunk:   opts.ShardChunk,
-		noShare: opts.NoShareIncumbent,
 	}
 	seen := map[string]bool{opts.Self: true, "": true}
 	for _, p := range opts.Fleet {
@@ -273,7 +271,7 @@ func (d *fleetDispatcher) ChunkSize() int { return d.fs.chunk }
 func (d *fleetDispatcher) Dispatch(ctx context.Context, shard int, points []tuner.ShardPoint, incumbent float64, hasIncumbent bool) ([]tuner.ShardOutcome, error) {
 	peer := d.fs.peers[shard%len(d.fs.peers)]
 	req := api.ShardRequest{Proto: api.ShardProtoVersion, Workload: d.workload, Points: points}
-	if hasIncumbent && !d.fs.noShare {
+	if hasIncumbent {
 		inc := incumbent
 		req.Incumbent = &inc
 	}

@@ -47,9 +47,8 @@ func TestRequestValidateErrors(t *testing.T) {
 
 // TestFingerprintStrategyFields pins which of the search-strategy knobs are
 // part of the workload identity. NoPrune changes the trace and the search
-// stats, so it must produce a distinct cache entry; NoDelta, Workers and
-// TimeoutSec are speed controls with bit-identical plans, so they must share
-// one. A pinned fingerprint guards the key's bytes: cache keys and fleet ring
+// stats, so it must produce a distinct cache entry; Workers and TimeoutSec
+// are speed controls with bit-identical plans, so they must share one. A pinned fingerprint guards the key's bytes: cache keys and fleet ring
 // ownership depend on them.
 func TestFingerprintStrategyFields(t *testing.T) {
 	pinned := PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "40G"}
@@ -82,7 +81,6 @@ func TestFingerprintStrategyFields(t *testing.T) {
 		}
 	}
 	for name, mut := range map[string]func(*PlanRequest){
-		"no_delta":    func(r *PlanRequest) { r.NoDelta = true },
 		"workers":     func(r *PlanRequest) { r.Workers = 7 },
 		"timeout_sec": func(r *PlanRequest) { r.TimeoutSec = 3 },
 	} {
@@ -103,14 +101,14 @@ func TestFingerprintStrategyFields(t *testing.T) {
 func TestRequestConfigPlumbing(t *testing.T) {
 	r := PlanRequest{
 		Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64,
-		NoPrune: true, NoDelta: true,
+		NoPrune: true,
 	}
 	if _, err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	conf := r.Config(3)
-	if !conf.NoPrune || !conf.NoDelta {
-		t.Errorf("config dropped a strategy knob: NoPrune=%v NoDelta=%v", conf.NoPrune, conf.NoDelta)
+	if !conf.NoPrune {
+		t.Error("config dropped the NoPrune strategy knob")
 	}
 	if conf.Workers != 3 {
 		t.Errorf("config.Workers = %d, want the resolved value 3", conf.Workers)

@@ -32,11 +32,6 @@ type Options struct {
 	// TunerWorkers caps the per-run tuner parallelism (mario.Config.Workers)
 	// a request may ask for; 0 leaves requests uncapped (0 = GOMAXPROCS).
 	TunerWorkers int
-	// NoDelta forces full-fixpoint re-simulation (mario.Config.NoDelta) on
-	// every run, regardless of what requests ask. Plans are bit-identical
-	// either way, so the cache is unaffected; this is the server-wide
-	// escape hatch.
-	NoDelta bool
 	// Registry receives the server's metric series (and the search
 	// metrics of every tuner run); nil allocates a private registry.
 	// /metrics renders everything registered on it.
@@ -70,11 +65,6 @@ type Options struct {
 	// coordinator's local fallback already keeps results exact.
 	FleetRetries int
 	FleetBackoff time.Duration
-	// NoShareIncumbent stops the coordinator from broadcasting its
-	// incumbent to workers. Results are identical; workers just simulate
-	// points the incumbent would have skipped. It exists as the
-	// benchmarking control for the incumbent-sharing win.
-	NoShareIncumbent bool
 	// WorkerCache bounds the per-workload shard-worker cache (memoized
 	// tuners serving /v1/shard); 0 means 8.
 	WorkerCache int
@@ -359,9 +349,6 @@ func (s *Server) optimize(ctx context.Context, req PlanRequest, tracer *telemetr
 		workers = s.opts.TunerWorkers
 	}
 	conf := req.Config(workers)
-	if s.opts.NoDelta {
-		conf.NoDelta = true
-	}
 	// A configured fleet turns this run into a coordinator search: probe
 	// locally, dispatch shard waves to the peers. The tuner guarantees the
 	// plan bytes are identical to a local run (and falls back locally on

@@ -354,29 +354,34 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestRetiredNoBnBRefused: the no_bnb strategy knob is gone from the wire,
-// so a body that still carries it is refused by the strict decoder instead
-// of being silently planned as something the client did not ask for.
+// TestRetiredNoBnBRefused: the no_bnb and no_delta strategy knobs are gone
+// from the wire, so a body that still carries one is refused by the strict
+// decoder instead of being silently planned as something the client did not
+// ask for.
 func TestRetiredNoBnBRefused(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_bnb":true}`
-	for _, path := range []string{"/v1/plan", "/v1/plan/stream"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("post %s: %v", path, err)
-		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%s), want 400", path, resp.StatusCode, msg)
-		}
-		if !strings.Contains(string(msg), "no_bnb") {
-			t.Errorf("%s: error %s does not name the unknown field", path, msg)
-		}
+	for _, field := range []string{"no_bnb", "no_delta"} {
+		t.Run(field, func(t *testing.T) {
+			body := `{"model":"LLaMA2-3B","devices":4,"global_batch":16,"` + field + `":true}`
+			for _, path := range []string{"/v1/plan", "/v1/plan/stream"} {
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatalf("post %s: %v", path, err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s: status %d (%s), want 400", path, resp.StatusCode, msg)
+				}
+				if !strings.Contains(string(msg), field) {
+					t.Errorf("%s: error %s does not name the unknown field", path, msg)
+				}
+			}
+		})
 	}
 }
 

@@ -1,13 +1,14 @@
 // Package difftest is the differential harness behind the simulator's
-// equivalence guarantees: delta re-simulation on a reused engine must be
-// byte-identical to a full propagation on a fresh engine — same makespan
-// bits, same peaks, same timeline spans, same error — for every reachable
-// engine state. The harness generates seeded random workloads (schedule,
-// estimator, options), drives a long-lived "delta" engine through randomized
-// single-device mutations, probe runs, commits, reverts, and cache
-// maintenance (Detach, Invalidate, Forget), and after every step checks the
-// reused engine's answer against a fresh full simulation of the same
-// schedule, failing on the first diverging byte of a canonical encoding.
+// equivalence guarantees: simulation on a reused engine — whose metadata
+// caches are keyed on list identity and rebuilt by swap, permutation window
+// or full walk — must be byte-identical to a simulation on a fresh engine —
+// same makespan bits, same peaks, same timeline spans, same error — for every
+// reachable engine state. The harness generates seeded random workloads
+// (schedule, estimator, options), drives a long-lived reused engine through
+// randomized single-device mutations, reverts, and cache maintenance
+// (Detach, Invalidate, Forget), and after every step checks the reused
+// engine's answer against a fresh engine's simulation of the same schedule,
+// failing on the first diverging byte of a canonical encoding.
 //
 // The tuner's branch-and-bound tests reuse the same canonical-encoding
 // helpers (Canon sections, Compare) to prove bnb-vs-grid equivalence, so
@@ -139,8 +140,8 @@ func NewWorkload(seed int64) (*Workload, error) {
 		opt.MemLimit = lo + rng.Float64()*(hi-lo+1)
 	}
 	if rng.Intn(8) == 0 {
-		// Rendezvous disables delta eligibility; keep a slice of coverage on
-		// the reused engine's full-path fallback.
+		// Rendezvous disables the permutation-window rebuild and keeps the
+		// posted/done scratch; keep a slice of coverage on that path.
 		opt.Rendezvous = true
 	}
 
@@ -164,8 +165,8 @@ func (w *Workload) seed(s int64) {
 // Mutate applies one random single-device mutation under a fresh list
 // identity and reports a description of it. Mutations may produce schedules
 // that deadlock or mismatch — the differential property covers error results
-// too — but always change exactly one device, which is the shape the delta
-// engine's dirty-cone analysis is built for.
+// too — but always change exactly one device, the graph tuner's candidate
+// shape that the engine's per-device metadata caches are built for.
 func (w *Workload) Mutate() string {
 	rng := w.rng
 	d := rng.Intn(w.S.NumDevices())
@@ -234,14 +235,13 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Harness drives a long-lived delta engine against fresh-full references.
+// Harness drives a long-lived reused engine against fresh-engine references.
 type Harness struct {
 	W *Workload
-	// Delta is the engine under test: reused across steps so it exercises
-	// the delta path, probe mode, Commit, snapshot reverts, and the rebuild
-	// plans.
-	Delta sim.Simulator
-	steps int
+	// Reused is the engine under test: reused across steps so it exercises
+	// the identity-keyed caches, snapshot reverts, and the rebuild plans.
+	Reused sim.Simulator
+	steps  int
 }
 
 // NewHarness builds a harness over a fresh workload for the seed.
@@ -254,9 +254,9 @@ func NewHarness(seed int64) (*Harness, error) {
 }
 
 // Step advances the harness once: maybe mutate the workload, maybe exercise
-// an engine-maintenance entry point, run the delta engine (randomly in probe
-// mode, sometimes committing the probe), run a fresh full reference, and
-// compare byte-for-byte. A non-nil error is a disproof of the equivalence.
+// an engine-maintenance entry point, run the reused engine, run a fresh
+// reference, and compare byte-for-byte. A non-nil error is a disproof of the
+// equivalence.
 func (h *Harness) Step() error {
 	w := h.W
 	rng := w.rng
@@ -267,42 +267,24 @@ func (h *Harness) Step() error {
 	}
 	switch rng.Intn(12) {
 	case 0:
-		h.Delta.Detach()
+		h.Reused.Detach()
 	case 1:
-		h.Delta.Invalidate()
+		h.Reused.Invalidate()
 	case 2:
 		d := rng.Intn(w.S.NumDevices())
-		if h.Delta.Holds(d, w.S.Lists[d]) {
-			h.Delta.Forget(d, w.S.Lists[d])
+		if h.Reused.Holds(d, w.S.Lists[d]) {
+			h.Reused.Forget(d, w.S.Lists[d])
 		}
 	}
 
 	opt := w.Opt
 	opt.NoTimeline = rng.Intn(3) == 0
-	probe := rng.Intn(3) == 0
-
-	dOpt := opt
-	dOpt.Probe = probe
-	runs0 := h.Delta.DeltaStats().Runs
-	dRes, dErr := h.Delta.Simulate(w.S, w.Est, dOpt)
-	if dErr == nil && probe && rng.Intn(2) == 0 {
-		// Commit must adopt a successful probe the engine answered via the
-		// delta path; on a full-path probe (fresh engine, rendezvous) it is
-		// allowed to refuse and the caller re-simulates, so only the delta
-		// case is a hard requirement.
-		wasDelta := h.Delta.DeltaStats().Runs > runs0
-		if !h.Delta.Commit(w.S) && wasDelta {
-			return fmt.Errorf("step %d (%s): Commit refused a successful delta probe of the same schedule", h.steps, w.desc)
-		}
-	}
-
-	fOpt := opt
-	fOpt.NoDelta = true
+	rRes, rErr := h.Reused.Simulate(w.S, w.Est, opt)
 	ref := &sim.Simulator{}
-	fRes, fErr := ref.Simulate(w.S, w.Est, fOpt)
+	fRes, fErr := ref.Simulate(w.S, w.Est, opt)
 
-	if err := Compare(dRes, dErr, fRes, fErr); err != nil {
-		return fmt.Errorf("step %d (%s, probe=%t): %w", h.steps, w.desc, probe, err)
+	if err := Compare(rRes, rErr, fRes, fErr); err != nil {
+		return fmt.Errorf("step %d (%s): %w", h.steps, w.desc, err)
 	}
 	return nil
 }
@@ -323,19 +305,19 @@ func (h *Harness) Run(n int) error {
 // the canonical section it falls in.
 func Compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
 	if (aErr == nil) != (bErr == nil) {
-		return fmt.Errorf("error mismatch: delta=%v full=%v", aErr, bErr)
+		return fmt.Errorf("error mismatch: reused=%v fresh=%v", aErr, bErr)
 	}
 	if aErr != nil {
 		for _, sentinel := range []error{sim.ErrDeadlock, sim.ErrCommMismatch} {
 			if errors.Is(aErr, sentinel) != errors.Is(bErr, sentinel) {
-				return fmt.Errorf("error class mismatch: delta=%v full=%v", aErr, bErr)
+				return fmt.Errorf("error class mismatch: reused=%v fresh=%v", aErr, bErr)
 			}
 		}
 		return nil
 	}
 	ca, cb := Canon(a), Canon(b)
 	if off, section := Diff(ca, cb); off >= 0 {
-		return fmt.Errorf("results diverge at byte %d (%s): delta=%s full=%s",
+		return fmt.Errorf("results diverge at byte %d (%s): reused=%s fresh=%s",
 			off, section, hexAround(ca, off), hexAround(cb, off))
 	}
 	return nil

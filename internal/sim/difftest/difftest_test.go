@@ -10,8 +10,9 @@ import (
 )
 
 // TestDeltaVsFullRandomized is the harness's bread and butter: many seeds,
-// many steps each, every step differentially checked. Run under -race it
-// also covers the engine's scratch reuse across probe/adopt interleavings.
+// many steps each, every step checked against a fresh engine. Run under
+// -race it also covers the engine's scratch reuse across mutations, reverts
+// and cache maintenance.
 func TestDeltaVsFullRandomized(t *testing.T) {
 	steps := 40
 	seeds := 24
@@ -120,10 +121,10 @@ func TestCanonDetectsDivergence(t *testing.T) {
 	}
 }
 
-// FuzzDeltaSimEquivalence lets the fuzzer drive the workload seed and step
-// count; any counterexample is a schedule+mutation sequence on which delta
-// re-simulation diverges from a full run.
-func FuzzDeltaSimEquivalence(f *testing.F) {
+// FuzzEngineReuseEquivalence lets the fuzzer drive the workload seed and
+// step count; any counterexample is a schedule+mutation sequence on which a
+// reused engine diverges from a fresh one.
+func FuzzEngineReuseEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(12))
 	f.Add(int64(42), uint8(30))
 	f.Add(int64(-7), uint8(5))

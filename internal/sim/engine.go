@@ -182,52 +182,12 @@ type Simulator struct {
 	plan         []int8
 	moved        []bool
 	winLo, winHi []int32
-
-	// last is the delta-simulation snapshot of the previous successful run;
-	// restart/coneStack are the dirty-cone scratch (see delta.go).
-	last fixpoint
-	// base is a pinned copy of the first adopting run's fixpoint after a
-	// Detach (or engine reset): an optimization run's search walks away from
-	// its starting schedule, but the NEXT run over the same inputs starts
-	// from that same content again — restoring base turns its baseline
-	// simulation into a pure splice. basePinned marks base as holding this
-	// run's starting fixpoint; baseUse arms the one-shot restore.
-	base       fixpoint
-	basePinned bool
-	baseUse    bool
-	restart    []int
-	coneStack  []int32
-	// convIdx[d] is the replay index from which device d may converge back
-	// onto the snapshot timings (maxInt outside delta replays); convSuf,
-	// resolved and lastDiffSend are its inputs — see propagateDelta.
-	convIdx []int
-	convSuf []int
-	// resolved[d] reports that every send of device d has a determined
-	// arrival this run (the device finished or spliced); lastDiffSend[d] is
-	// the last send index whose replayed completion differed bitwise from
-	// the snapshot, -1 when none did.
-	resolved     []bool
-	lastDiffSend []int
-	// outT[d] is runDevice's completion-clock write target: the snapshot
-	// arrays for runs that adopt their fixpoint, the probeT scratch for
-	// probe runs. inDelta gates the per-send snapshot comparison.
-	outT    [][]float64
-	probeT  [][]float64
-	inDelta bool
-	// wrote[d] bounds the probeT entries the last delta run actually wrote
-	// for device d ([restart, wrote)); a spliced device stops early and the
-	// rest stays snapshot data. probeOK marks that the engine's most recent
-	// call was a successful probe delta run, making Commit applicable.
-	wrote   []int
-	probeOK bool
-	stats   DeltaStats
 }
 
 // Simulate runs the dynamic-programming timeline and memory simulation,
 // reusing every cache and buffer that is still valid from the previous call.
 func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, error) {
 	m.Sims++
-	m.probeOK = false
 	if e.Stages != s.NumStages() {
 		return nil, fmt.Errorf("sim: estimator built for %d stages, schedule has %d", e.Stages, s.NumStages())
 	}
@@ -240,12 +200,6 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 		// The caches are partially updated; force a full rebuild next call.
 		m.est = nil
 		return nil, err
-	}
-	if m.baseUse {
-		m.baseUse = false
-		if m.base.valid {
-			m.restoreBase()
-		}
 	}
 
 	D := len(m.devs)
@@ -261,28 +215,8 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 			res.Timeline[d] = make([]Span, 0, len(m.devs[d].list))
 		}
 	}
-	if m.deltaEligible(opt) {
-		// The replay-and-splice path never records spans inline (spliced
-		// instructions are not executed); run it span-free and synthesize the
-		// timeline from the completion clocks afterwards.
-		dopt := opt
-		dopt.NoTimeline = true
-		if err := m.propagateDelta(e, dopt, res); err != nil {
-			return nil, err
-		}
-		if !opt.NoTimeline {
-			m.synthTimeline(res)
-		}
-	} else {
-		m.stats.Full++
-		m.ensureEndT()
-		m.outT = m.last.endT
-		m.inDelta = false
-		if err := m.propagate(e, opt, res); err != nil {
-			m.last.valid = false
-			return nil, err
-		}
-		m.saveFixpoint(opt)
+	if err := m.propagate(e, opt, res); err != nil {
+		return nil, err
 	}
 	for d := range m.devs {
 		res.PeakMem[d] = m.devs[d].peak
@@ -299,25 +233,17 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 	if res.Total > 0 {
 		res.SamplesPerSec = float64(s.Micros*e.MicroBatch*dp) / res.Total
 	}
-	if !opt.Probe && m.last.valid && !m.basePinned {
-		m.pinBase()
-	}
 	return res, nil
 }
 
-// Invalidate drops every cached list identity and the delta snapshot while
-// keeping the engine's buffers for capacity reuse. Callers that pool warm
-// engines across independent optimization runs must call it before an engine
+// Invalidate drops every cached list identity while keeping the engine's
+// buffers for capacity reuse. Callers that pool warm engines across
+// independent optimization runs must call it (or Detach) before an engine
 // changes hands: cached identities may alias memory the previous run's
 // caller now owns (and may mutate), so the next Simulate must rebuild from
 // the actual schedule contents.
 func (m *Simulator) Invalidate() {
 	m.est = nil // bind treats a nil estimator as "rebuild everything"
-	m.last.valid = false
-	m.probeOK = false
-	m.base.valid = false
-	m.basePinned = false
-	m.baseUse = false
 }
 
 // Detach re-keys every cached list onto an engine-owned copy so a pooled
@@ -326,45 +252,20 @@ func (m *Simulator) Invalidate() {
 // run is likely a near-identical schedule (a tuner sweeping neighbouring
 // grid points, a benchmark loop): contents are copied verbatim, the next
 // Simulate sees every device as identity-changed and diffs by value against
-// the copies, so warm metadata, cached memory walks and the delta snapshot
-// keep paying off instead of being rebuilt from scratch. The depth-2 revert
-// snapshot is dropped — its lists may alias recycled candidate buffers the
-// caller's pools are free to overwrite.
+// the copies, so warm metadata and cached memory walks keep paying off
+// instead of being rebuilt from scratch. The depth-2 revert snapshot is
+// dropped — its lists may alias recycled candidate buffers the caller's pools
+// are free to overwrite.
 func (m *Simulator) Detach() {
-	m.probeOK = false
 	for d := range m.devs {
 		ds := &m.devs[d]
 		ds.prevList = nil
 		if ds.list == nil {
 			continue
 		}
-		old := ds.list
-		ds.own = append(ds.own[:0], old...)
+		ds.own = append(ds.own[:0], ds.list...)
 		ds.list = ds.own
-		if d < len(m.last.lists) {
-			if sameIdent(m.last.lists[d], old) {
-				m.last.lists[d] = ds.own
-			} else {
-				// The snapshot ran on some other identity we no longer
-				// retain; forget the device so it replays from scratch.
-				m.last.lists[d] = nil
-			}
-		}
-		if d < len(m.base.lists) && sameIdent(m.base.lists[d], old) {
-			m.base.lists[d] = ds.own
-		}
 	}
-	// Arm the one-shot base restore: the next caller's first simulation is
-	// usually the same starting content this run began from. Unpin so that
-	// first adopting run re-pins base onto its fresh identities.
-	m.baseUse = m.base.valid && m.basePinned
-	m.basePinned = false
-}
-
-// sameIdent reports whether two slices share identity: same length and same
-// backing array start.
-func sameIdent(a, b []pipeline.Instr) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // bind checks the coarse cache key (estimator, placement, micro count, DP,
@@ -377,10 +278,6 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bo
 		return
 	}
 	m.est, m.placement, m.micros, m.dp, m.rdv = e, s.Placement, s.Micros, dp, rdv
-	m.last.valid = false
-	m.base.valid = false
-	m.basePinned = false
-	m.baseUse = false
 	m.nParts, m.nStages = s.Placement.NumParts(), s.Placement.NumStages()
 	if cap(m.devs) >= D {
 		m.devs = m.devs[:D]
@@ -591,25 +488,8 @@ func (m *Simulator) Holds(dev int, list []pipeline.Instr) bool {
 		return false
 	}
 	ds := &m.devs[dev]
-	if (len(ds.list) == len(list) && &ds.list[0] == &list[0]) ||
-		(len(ds.prevList) == len(list) && &ds.prevList[0] == &list[0]) {
-		return true
-	}
-	// The delta snapshot also keys on list identity (the value diff reads the
-	// old contents), so it pins buffers the same way the metadata cache does.
-	if dev < len(m.last.lists) {
-		if old := m.last.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			return true
-		}
-	}
-	// So does the pinned base fixpoint: restoreBase re-installs its lists as
-	// the next delta run's diff targets, which firstDiff then reads by value.
-	if dev < len(m.base.lists) {
-		if old := m.base.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			return true
-		}
-	}
-	return false
+	return (len(ds.list) == len(list) && &ds.list[0] == &list[0]) ||
+		(len(ds.prevList) == len(list) && &ds.prevList[0] == &list[0])
 }
 
 // Forget drops any cache entry keying device dev on the given list identity,
@@ -636,21 +516,6 @@ func (m *Simulator) Forget(dev int, list []pipeline.Instr) {
 	if len(ds.prevList) == len(list) && &ds.prevList[0] == &list[0] {
 		// Snapshot entries hold no comm-index registrations.
 		ds.prevList = nil
-	}
-	if dev < len(m.last.lists) {
-		if old := m.last.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			// Only this device's delta entry dies: a nil snapshot list makes
-			// the next delta run replay the device from scratch, which is
-			// handled by the ordinary dirty-cone machinery.
-			m.last.lists[dev] = nil
-		}
-	}
-	if dev < len(m.base.lists) {
-		if old := m.base.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			// Same per-device semantics for the pinned base: a restore
-			// installs a nil entry and the device replays from scratch.
-			m.base.lists[dev] = nil
-		}
 	}
 }
 
@@ -694,7 +559,6 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, dp in
 		// The snapshot of the second-to-last list restores with a buffer
 		// swap plus key re-registration (refresh's delete phase dropped this
 		// device's keys); durations, peak and busy are all still valid.
-		m.stats.SwapRebuilds++
 		ds.swapPrev()
 		for _, ci := range ds.comm {
 			if slot := m.commSlot(ds.list[ci].Key()); slot >= 0 {
@@ -710,15 +574,12 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, dp in
 		// Content-identical list under a new identity: every cached
 		// artifact — including the registry entries refresh left in place —
 		// still applies verbatim.
-		m.stats.WindowRebuilds++
 		ds.list = list
 		return
 	case planWindow:
-		m.stats.WindowRebuilds++
 		m.rebuildWindowed(s, e, d, list, int(m.winLo[d]), int(m.winHi[d]))
 		return
 	}
-	m.stats.FullRebuilds++
 	ds.swapPrev() // retire the outgoing metadata into the snapshot slot
 	ds.list = list
 	if cap(ds.metas) >= len(list) {
@@ -1128,11 +989,9 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 	}
 	m.inQueue = growBool(m.inQueue, D)
 	m.queue = m.queue[:0]
-	m.convIdx = growInt(m.convIdx, D)
 	for d := 0; d < D; d++ {
 		m.inQueue[d] = true
 		m.queue = append(m.queue, int32(d))
-		m.convIdx[d] = noConverge
 	}
 
 	for head := 0; head < len(m.queue); head++ {
@@ -1162,18 +1021,8 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 	ds := &m.devs[d]
 	list := ds.list
 	metas := ds.metas
-	base := m.last.endT[d] // snapshot completion clocks (reads)
-	out := m.outT[d]       // completion clocks feeding the next delta run
 	i := m.pc[d]
 	clock := m.clock[d]
-	// Snapshot comparison state for the per-send convergence tracking; only
-	// consulted during delta replays.
-	var oldL []pipeline.Instr
-	hz := 0
-	if m.inDelta {
-		oldL = m.last.lists[d]
-		hz = m.last.horizon[d]
-	}
 	for i < len(list) {
 		mt := &metas[i]
 		start := clock
@@ -1197,16 +1046,6 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 				clock = t
 			} else {
 				clock = start + e.LaunchOverhead
-				if m.inDelta {
-					// A replayed send whose completion bit-equals the
-					// snapshot's (same instruction, trusted entry) delivers a
-					// snapshot-identical arrival; track the last one that did
-					// not, so receivers' convergence thresholds can relax once
-					// this device resolves.
-					if !(i < hz && i < len(oldL) && oldL[i] == list[i] && clock == base[i]) {
-						m.lastDiffSend[d] = i
-					}
-				}
 				m.fifos[mt.link] = append(m.fifos[mt.link], fifoMsg{
 					dev: mt.matchDev, idx: mt.matchIdx, arrive: clock + mt.comm,
 				})
@@ -1250,15 +1089,6 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 		if !opt.NoTimeline {
 			res.Timeline[d] = append(res.Timeline[d], Span{Instr: list[i], Start: start, End: clock})
 		}
-		if i >= m.convIdx[d] && clock == base[i] {
-			// The replayed clock re-converged onto the snapshot and every
-			// remaining input of this device is snapshot-identical: the rest
-			// of the suffix would replay bit-identically, so splice it.
-			clock = m.spliceSuffix(d, i)
-			i = len(list)
-			break
-		}
-		out[i] = clock
 		i++
 	}
 blocked:

@@ -37,11 +37,11 @@ func reverseList(l []pipeline.Instr) {
 	}
 }
 
-// TestHoldsCoversDeltaState pins the full identity matrix Holds must report
-// after delta simulation: the active metadata entry, the depth-2 revert
-// snapshot, the delta-snapshot lists, and the pinned base fixpoint — every
-// buffer the engine may later read by value. A recycling pool consults Holds
-// before reusing a buffer, so a missing class here is an aliasing hole.
+// TestHoldsCoversDeltaState pins the identity matrix Holds must report: the
+// active metadata entry and the depth-2 revert snapshot — every buffer the
+// engine may later read by value — and nothing the cache has let go of. A
+// recycling pool consults Holds before reusing a buffer, so a missing entry
+// here is an aliasing hole and a spurious one leaks the buffer.
 func TestHoldsCoversDeltaState(t *testing.T) {
 	parent := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
@@ -51,32 +51,32 @@ func TestHoldsCoversDeltaState(t *testing.T) {
 	assertSameOutcome(t, "parent", eng, parent, e, opt)
 	pl := parent.Lists[0]
 	if !eng.Holds(0, pl) {
-		t.Fatal("active list not held after the first adopting run")
+		t.Fatal("active list not held after the first run")
 	}
 
 	child := editDevice(t, parent, 0, 0)
 	assertSameOutcome(t, "child", eng, child, e, opt)
 	chl := child.Lists[0]
 	if !eng.Holds(0, chl) {
-		t.Error("candidate list (active entry + delta snapshot) not held")
+		t.Error("candidate list (active entry) not held")
 	}
 	if !eng.Holds(0, pl) {
-		t.Error("parent list (depth-2 snapshot + pinned base) not held")
+		t.Error("parent list (depth-2 snapshot) not held")
 	}
 
 	// A second, different edit retires the first candidate into the depth-2
-	// slot; the parent list now survives only inside the pinned base.
+	// slot and pushes the parent list out of the cache.
 	child2 := editDevice(t, parent, 0, 1)
 	assertSameOutcome(t, "child2", eng, child2, e, opt)
 	if !eng.Holds(0, chl) {
 		t.Error("retired candidate (depth-2 snapshot) not held")
 	}
-	if !eng.Holds(0, pl) {
-		t.Error("base-only identity not held: restoreBase would read a recycled buffer")
+	if eng.Holds(0, pl) {
+		t.Error("list pushed out of the depth-2 cache still reported held")
 	}
 
 	// Negative space: wrong device, unrelated list, empty list.
-	if eng.Holds(1, pl) {
+	if eng.Holds(1, chl) {
 		t.Error("device 0's list reported held on device 1")
 	}
 	if eng.Holds(0, parent.Lists[1]) {
@@ -88,10 +88,9 @@ func TestHoldsCoversDeltaState(t *testing.T) {
 }
 
 // TestForgetRecycledBufferSafety drives the pool-recycling protocol through
-// the dirty-cone caches: after Forget releases a retired candidate buffer,
+// the metadata caches: after Forget releases a retired candidate buffer,
 // overwriting it in place must not perturb any simulation — neither of the
-// current schedule (whose delta run would otherwise diff against the poisoned
-// contents) nor of a new schedule reusing the buffer's identity.
+// current schedule nor of a new schedule reusing the buffer's identity.
 func TestForgetRecycledBufferSafety(t *testing.T) {
 	parent := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
@@ -124,80 +123,39 @@ func TestForgetRecycledBufferSafety(t *testing.T) {
 	assertSameOutcome(t, "parent-recovered", eng, parent, e, opt)
 }
 
-// TestDetachBasePinAndForget covers the engine-pooling hand-off: Detach
-// re-keys identity-matching state onto engine-owned copies, but a base entry
-// pinned on a list the search walked away from stays referenced — Holds must
-// say so, Forget must release it, and the post-Detach restore must still be
-// bit-exact after the caller reclaims and overwrites every released buffer.
-func TestDetachBasePinAndForget(t *testing.T) {
+// TestDetachReleasesCallerBuffers covers the engine-pooling hand-off: Detach
+// re-keys the active entries onto engine-owned copies and drops the revert
+// snapshot, so the engine holds none of the caller's buffers and stays
+// bit-exact after the caller reclaims and overwrites all of them.
+func TestDetachReleasesCallerBuffers(t *testing.T) {
 	parent := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
 	opt := Options{NoTimeline: true}
 	eng := &Simulator{}
 
-	assertSameOutcome(t, "parent", eng, parent, e, opt) // pins base on parent
+	assertSameOutcome(t, "parent", eng, parent, e, opt)
 	child := editDevice(t, parent, 0, 0)
 	assertSameOutcome(t, "child", eng, child, e, opt)
-	child2 := editDevice(t, parent, 0, 1)
-	assertSameOutcome(t, "child2", eng, child2, e, opt)
 
-	pl := parent.Lists[0]
 	eng.Detach()
-	// Devices whose identity never changed were re-keyed onto owned copies
-	// and their caller buffers are free.
-	for d := 1; d < len(parent.Lists); d++ {
+	for d := range parent.Lists {
 		if eng.Holds(d, parent.Lists[d]) {
 			t.Errorf("device %d: caller buffer still held after Detach", d)
 		}
 	}
-	if eng.Holds(0, child2.Lists[0]) {
+	if eng.Holds(0, child.Lists[0]) {
 		t.Error("detached active list still held under the caller's identity")
-	}
-	// Device 0's base entry could not be re-keyed (the search left the
-	// starting list behind); it is still read by the armed base restore.
-	if !eng.Holds(0, pl) {
-		t.Fatal("pinned base identity not reported held after Detach")
-	}
-	eng.Forget(0, pl)
-	if eng.Holds(0, pl) {
-		t.Fatal("pinned base identity still held after Forget")
 	}
 
 	// The caller reclaims everything the engine released.
 	for d := range parent.Lists {
 		reverseList(parent.Lists[d])
 	}
-	reverseList(child2.Lists[0])
+	reverseList(child.Lists[0])
 
 	// A fresh build of the same starting content (the tuner's next run over
-	// the same grid point) must simulate bit-identically: the restore splices
-	// the surviving base devices and fully replays the forgotten one.
+	// the same grid point) must simulate bit-identically.
 	fresh := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	assertSameOutcome(t, "fresh-after-detach", eng, fresh, e, opt)
 	assertSameOutcome(t, "fresh-again", eng, fresh, e, opt)
-}
-
-// TestForgetInvalidatesProbeCommit: a successful probe whose schedule buffer
-// is forgotten (recycled) before adoption must not Commit — the memcpy
-// shortcut would re-key the snapshot onto a buffer the pool may already have
-// reused. The caller's fallback, a plain adopting simulation, stays exact.
-func TestForgetInvalidatesProbeCommit(t *testing.T) {
-	parent := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
-	e := cost.Uniform(4, 1, 2, 0.25)
-	opt := Options{NoTimeline: true}
-	eng := &Simulator{}
-
-	if _, err := eng.Simulate(parent, e, opt); err != nil {
-		t.Fatal(err)
-	}
-	child := editDevice(t, parent, 0, 0)
-	popt := opt
-	popt.Probe = true
-	assertSameOutcome(t, "probe", eng, child, e, popt)
-
-	eng.Forget(0, child.Lists[0])
-	if eng.Commit(child) {
-		t.Fatal("Commit adopted a schedule whose list identity was forgotten")
-	}
-	assertSameOutcome(t, "adopt-after-forget", eng, child, e, opt)
 }

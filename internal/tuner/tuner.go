@@ -239,23 +239,10 @@ type Tuner struct {
 	DPEfficiency float64
 	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means 8.
 	MaxRounds int
-	// GraphWorkers bounds the goroutines graph.Optimize may use to simulate
-	// prepose candidates concurrently (graph.Options.Workers); 0 or 1 keeps
-	// the inner loop inline, which is the right choice while Space.Workers
-	// already saturates the cores. The optimized schedules are identical for
-	// every value.
-	GraphWorkers int
 	// SplitBackward additionally tries the ZB-H1-style split-backward
 	// transformation on each checkpointed candidate, keeping it when the
 	// simulator confirms an improvement within the memory budget.
 	SplitBackward bool
-	// NoDelta disables delta re-simulation inside the graph-pass candidate
-	// loop (sim.Options.NoDelta): every accepted-candidate re-sim runs the
-	// full fixpoint instead of recomputing only the dirty cone. Results are
-	// bit-identical either way — internal/sim/difftest pins that — so the
-	// flag is an escape hatch and a benchmarking control, and it
-	// deliberately does not enter the memo keys.
-	NoDelta bool
 	// Progress, when non-nil, is invoked after every explored candidate
 	// with that candidate and the best found so far (Fig. 11's curve,
 	// streamed). It runs on the merging goroutine in the merge order
@@ -640,7 +627,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *si
 	}
 	micros := sched.Micros
 	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
-	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoDelta: t.NoDelta}
+	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem}
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: micros,
 		PlaceMode: p.pmode, Place: asg}
 	var res *sim.Result
@@ -665,7 +652,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *si
 			// canonically earlier point shares the memo key, Snapshot moves
 			// them there (the sequential attribution).
 			gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: maxRounds,
-				Workers: t.GraphWorkers, Span: gs, Metrics: t.Metrics}
+				Span: gs, Metrics: t.Metrics}
 			opt, r, err := graph.OptimizeContext(ctx, sched, gopts)
 			if err != nil {
 				return graphVal{}, err

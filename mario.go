@@ -97,25 +97,15 @@ type Config struct {
 	// GOMAXPROCS, 1 searches sequentially. The chosen plan, trace and
 	// search stats are identical for every value.
 	Workers int
-	// GraphWorkers bounds the goroutines each graph-tuner invocation uses
-	// to simulate prepose candidates concurrently; 0 or 1 keeps that inner
-	// loop inline (the default — the outer Workers already parallelise the
-	// search). The plan is identical for every value.
-	GraphWorkers int
 	// NoPrune disables the tuner's admissible bound and memory prunes so
 	// every feasible configuration is simulated and appears in the trace.
 	// The best plan is byte-identical either way.
 	NoPrune bool
-	// NoDelta disables delta re-simulation inside the graph passes: every
-	// candidate re-sim runs the full fixpoint instead of recomputing only
-	// the dirty cone. The plan is bit-identical either way; this is an
-	// escape hatch and a benchmarking control.
-	NoDelta bool
 	// Tracer, when non-nil, records the search's own telemetry: a
 	// PhaseOptimize root span with the tuner grid, graph-pass, simulator
 	// and robustness work nested under it (see internal/telemetry). The
 	// canonical exports of the resulting trace are byte-identical for
-	// every Workers/GraphWorkers value; a nil Tracer costs nothing.
+	// every Workers value; a nil Tracer costs nothing.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives the search counters (grid outcomes,
 	// memoization, simulator executions) as registry series.
@@ -299,8 +289,7 @@ func searchSetup(conf Config, model ModelConfig) (*tuner.Tuner, tuner.Space, flo
 	}
 
 	prof := &profile.Profiler{Model: model, HW: hw, Spec: spec, Devices: 4, Iters: 10}
-	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward, GraphWorkers: conf.GraphWorkers,
-		NoDelta: conf.NoDelta}
+	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward}
 	space = tuner.Space{
 		Devices:      conf.NumDevices,
 		GlobalBatch:  conf.GlobalBatchSize,
